@@ -22,8 +22,6 @@ from .decompose import (
 from .drivers import (
     TailState,
     auto_approx,
-    lemma2_finish,
-    lemma3_certificate,
     merge_tail,
     thm2_approx,
     thm3_approx,
@@ -61,7 +59,6 @@ from .maxcut import (
     ApproxResult,
     component_max_cut,
     greedy_merge,
-    greedy_merge_steps,
     thm1_approx,
 )
 from .oracle import (
@@ -110,12 +107,9 @@ __all__ = [
     "generate",
     "gnm_connected",
     "greedy_merge",
-    "greedy_merge_steps",
     "induced_subgraph",
     "instance_seed",
     "is_even_cycle_free",
-    "lemma2_finish",
-    "lemma3_certificate",
     "merge_tail",
     "odd_cycle_certificates",
     "parse_edge_list",

@@ -151,7 +151,8 @@ def piece_feasible(
             arc = L
         if (want[k] ^ want[k2]) != (arc & 1):
             fails.append(k)
-    assert len(fails) % 2 == 1, "parity bookkeeping around an odd cycle broke"
+    if len(fails) % 2 != 1:
+        raise AssertionError("parity bookkeeping around an odd cycle broke")
     if len(fails) != 1:
         return None
     defect = fails[0]  # defect edge joins ring[defect] and ring[defect+1]
@@ -162,8 +163,8 @@ def piece_feasible(
     s0 = want[anchor] ^ (((anchor - start) % L) & 1)
     for i in range(L):
         colors[(start + i) % L] = s0 ^ (i & 1)
-    for k, s in want.items():
-        assert colors[k] == s
+    if any(colors[k] != s for k, s in want.items()):
+        raise AssertionError("ring coloring breaks a constrained position")
 
     out = {r: root_side}
     for v in piece.vertices:
@@ -254,7 +255,8 @@ def constrained_cactus_cut(g: Graph, pa: PartialAssignment) -> Optional[Cut]:
     for piece, memo in zip(reversed(pieces), reversed(memos)):
         r = piece.roots[0]
         s = final[r]
-        assert s is not None and s in memo, "backward replay lost a root assignment"
+        if s is None or s not in memo:
+            raise AssertionError("backward replay lost a root assignment")
         for v, sv in memo[s].items():
             final[v] = sv
 

@@ -158,12 +158,24 @@ class BenchConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "BenchConfig":
-        data = json.loads(text)
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise GraphError(f"bench config is not valid JSON: {exc}") from None
+        if not isinstance(data, dict):
+            raise GraphError("bench config must be a JSON object")
         known = {"model", "params", "count", "seed", "algorithms", "oracle", "output"}
         unknown = set(data) - known
         if unknown:
             raise GraphError(f"unknown bench config keys: {sorted(unknown)}")
-        return cls(**data)
+        missing = {"model", "params", "count", "seed"} - set(data)
+        if missing:
+            raise GraphError(f"missing bench config keys: {sorted(missing)}")
+        cfg = cls(**data)
+        bad = sorted(set(cfg.algorithms) - set(_ALGOS))
+        if bad:
+            raise GraphError(f"unknown bench algorithms: {bad}")
+        return cfg
 
 
 BENCH_COLUMNS = [

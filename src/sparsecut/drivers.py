@@ -6,8 +6,13 @@ near-linear time. ``thm2_approx`` improves the certificate to
 into the tail while the union stays even-cycle-free, then either the tail
 union is solved exactly (seeding the merge with a maximum cut of the
 suffix) or a completed bipartization search proves a strictly better upper
-bound. ``thm3_approx`` specializes the expensive search step for graphs
-with m <= 2n so the whole run is linear.
+bound.
+
+``thm3_approx`` is thm2's dispatch with two differences, which make the
+whole run linear on graphs with m <= 2n: two or more odd-cycle witnesses
+end the run with the plain merge certificate, and an IOC piece next to
+the tail is settled by one bipartiteness test instead of a scan around
+its odd cycle.
 """
 
 from __future__ import annotations
@@ -94,31 +99,26 @@ def merge_tail(g: Graph, d: Decomposition) -> TailState:
     return TailState(tuple(comps[:k]), tuple(tail), kind, len(cycles), cycles)
 
 
-def _prefix_witnesses(g: Graph, prefix: Sequence[Component]) -> list[OddCycleWitness]:
-    d = Decomposition(tuple(prefix)) if prefix else None
-    if d is None:
-        return []
-    return odd_cycle_certificates(g, d)
-
-
 def _seeded_result(
     g: Graph,
     d: Decomposition,
     prefix: Sequence[Component],
     seed: dict[int, int],
-    l_value: int,
-    hprime_witnesses: Sequence[OddCycleWitness],
+    prefix_witnesses: Sequence[OddCycleWitness],
+    suffix_witnesses: Sequence[OddCycleWitness],
     driver: str,
     method: str,
 ) -> ApproxResult:
     """Greedy-merge the prefix onto a known maximum cut of the suffix.
 
+    ``suffix_witnesses`` are edge-disjoint odd cycles of the suffix and the
+    seed loses exactly one suffix edge per cycle, which proves it maximum.
     The suffix cut has size m' - l over the m' suffix-plus-cross edges it
     covers; the certificate chain needs x' (prefix odd-cycle witnesses),
     the suffix order n' and l.
     """
-    prefix_wits = _prefix_witnesses(g, prefix)
-    x_prefix = len(prefix_wits)
+    x_prefix = len(prefix_witnesses)
+    l_value = len(suffix_witnesses)
     n_prime = len(seed)
     covered = set(seed)
     m_prime = 0
@@ -128,9 +128,10 @@ def _seeded_result(
             m_prime += 1
             if seed[u] != seed[v]:
                 seed_cut += 1
-    assert seed_cut == m_prime - l_value, "seed does not achieve the claimed suffix cut"
+    if seed_cut != m_prime - l_value:
+        raise AssertionError("seed does not achieve the claimed suffix cut")
     cut = greedy_merge(g, prefix, seed=seed)
-    witnesses = prefix_wits + list(hprime_witnesses)
+    witnesses = list(prefix_witnesses) + list(suffix_witnesses)
     lower = Fraction(g.m + g.n - x_prefix + m_prime - n_prime - 2 * l_value, 2)
     upper = g.m - x_prefix - l_value
     return _certified(
@@ -169,7 +170,8 @@ def _strict_bound_result(
 def _exact_cactus_result(g: Graph, d: Decomposition, y: int, cycles, driver: str) -> ApproxResult:
     """Whole graph has no even cycle: the parity cut of a spanning tree is optimal."""
     cut = spanning_tree_cut(g)
-    assert cut.size == g.n - 1 == g.m - y
+    if not (cut.size == g.n - 1 == g.m - y):
+        raise AssertionError("even-cycle-free graph's spanning tree cut is not maximum")
     lower = Fraction(g.n - 1)
     return _certified(
         g, cut, tuple(cycles), lower, g.m - y,
@@ -178,14 +180,37 @@ def _exact_cactus_result(g: Graph, d: Decomposition, y: int, cycles, driver: str
     )
 
 
-def _cross_edges(g: Graph, comp: Component, tail_set: set[int]) -> list[tuple[int, int]]:
-    verts = set(comp.vertices)
-    out = []
-    for v in comp.vertices:
+@dataclass(frozen=True)
+class _Neighbor:
+    """The piece H_k just before the tail, with what every tail case needs of it."""
+
+    hk: Component
+    rest: tuple[Component, ...]  # the components before hk
+    tail_set: frozenset[int]
+    cross: list[tuple[int, int]]  # (hk vertex, tail vertex)
+    hk_edges: list[tuple[int, int]]
+    # one odd cycle per IOC piece of the prefix, in order, so hk's comes last
+    prefix_witnesses: list[OddCycleWitness]
+    witnesses: list[OddCycleWitness]  # prefix_witnesses, then the tail's odd cycles
+
+
+def _neighbor(g: Graph, ts: TailState) -> _Neighbor:
+    hk = ts.prefix[-1]
+    hk_set = set(hk.vertices)
+    tail_set = frozenset(ts.tail_vertices)
+    cross = []
+    hk_edges = []
+    for v in hk.vertices:
         for w in g.adjacency[v]:
             if w in tail_set:
-                out.append((v, w))
-    return out
+                cross.append((v, w))
+            elif w > v and w in hk_set:
+                hk_edges.append((v, w))
+    prefix_wits = odd_cycle_certificates(g, Decomposition(ts.prefix))
+    return _Neighbor(
+        hk, ts.prefix[:-1], tail_set, cross, hk_edges,
+        prefix_wits, prefix_wits + list(ts.tail_odd_cycles),
+    )
 
 
 def _bipartition_assignment(sub: Graph, ids) -> Optional[dict[int, int]]:
@@ -196,20 +221,24 @@ def _bipartition_assignment(sub: Graph, ids) -> Optional[dict[int, int]]:
     return {ids[v]: res.side[v] for v in range(sub.n)}
 
 
-def _tail_cactus_cut(
-    g: Graph, tail_vertices, fixed: dict[int, int]
+def _extend_by_cactus_cut(
+    sub: Graph, ids, colors: dict[int, int]
 ) -> Optional[dict[int, int]]:
-    """Constrained maximum cut of the even-cycle-free tail, original ids."""
-    sub, ids = induced_subgraph(g, tail_vertices)
+    """Extend ``colors`` by a maximum cut of the even-cycle-free relabeled ``sub``.
+
+    Returns None when no maximum cut of ``sub`` agrees with ``colors``.
+    """
     index = {v: i for i, v in enumerate(ids)}
     side: list[Optional[int]] = [None] * sub.n
-    for v, s in fixed.items():
+    for v, s in colors.items():
         if v in index:
             side[index[v]] = s
     res = constrained_cactus_cut(sub, PartialAssignment(tuple(side)))
     if res is None:
         return None
-    return {ids[v]: res.side[v] for v in range(sub.n)}
+    seed = dict(colors)
+    seed.update({ids[v]: res.side[v] for v in range(sub.n)})
+    return seed
 
 
 def _case_cb_neighbor(
@@ -221,25 +250,16 @@ def _case_cb_neighbor(
     part, so that part has to be bipartite and the tail must absorb the y
     defects under the forced boundary colors; both checks are single shots.
     """
-    hk = ts.prefix[-1]
-    rest = ts.prefix[:-1]
-    tail_set = set(ts.tail_vertices)
-    cross = _cross_edges(g, hk, tail_set)
-    hk_set = set(hk.vertices)
-    hk_edges = [(u, v) for u, v in g.edges if u in hk_set and v in hk_set]
-    gp_vertices = sorted(hk_set | {w for _, w in cross})
-    sub, ids = subgraph_from_edges(gp_vertices, hk_edges + cross)
-    colors = _bipartition_assignment(sub, ids)
-    all_wits = list(_prefix_witnesses(g, ts.prefix)) + list(ts.tail_odd_cycles)
+    nb = _neighbor(g, ts)
+    gp_vertices = sorted(set(nb.hk.vertices) | {w for _, w in nb.cross})
+    colors = _bipartition_assignment(*subgraph_from_edges(gp_vertices, nb.hk_edges + nb.cross))
     if colors is None:
-        return _strict_bound_result(g, d, all_wits, driver, "cb_boundary_not_bipartite")
-    tail_cut = _tail_cactus_cut(g, ts.tail_vertices, colors)
-    if tail_cut is None:
-        return _strict_bound_result(g, d, all_wits, driver, "cb_tail_infeasible")
-    seed = dict(colors)
-    seed.update(tail_cut)
+        return _strict_bound_result(g, d, nb.witnesses, driver, "cb_boundary_not_bipartite")
+    seed = _extend_by_cactus_cut(*induced_subgraph(g, ts.tail_vertices), colors)
+    if seed is None:
+        return _strict_bound_result(g, d, nb.witnesses, driver, "cb_tail_infeasible")
     return _seeded_result(
-        g, d, rest, seed, ts.y, ts.tail_odd_cycles, driver, "cb_boundary_seed"
+        g, d, nb.rest, seed, nb.prefix_witnesses, ts.tail_odd_cycles, driver, "cb_boundary_seed"
     )
 
 
@@ -254,38 +274,29 @@ def _case_ioc_neighbor_scan(
     and the tail for feasibility. Exhausting the cycle proves the suffix
     loses at least y + 2 edges.
     """
-    hk = ts.prefix[-1]
-    rest = ts.prefix[:-1]
-    tail_set = set(ts.tail_vertices)
-    cross = _cross_edges(g, hk, tail_set)
-    hk_set = set(hk.vertices)
-    hk_edges = [(u, v) for u, v in g.edges if u in hk_set and v in hk_set]
-    gp_vertices = sorted(hk_set | {w for _, w in cross})
-    gp_edges = hk_edges + cross
-
-    ring_wit = odd_cycle_certificates(g, Decomposition((hk,)))[0]
+    nb = _neighbor(g, ts)
+    gp_vertices = sorted(set(nb.hk.vertices) | {w for _, w in nb.cross})
+    gp_edges = nb.hk_edges + nb.cross
+    ring_wit = nb.prefix_witnesses[-1]
     ring = ring_wit.cycle
     ring_edges = [tuple(sorted((ring[i], ring[i + 1]))) for i in range(len(ring) - 1)]
 
     for e in ring_edges:
         kept = [ed for ed in gp_edges if tuple(sorted(ed)) != e]
-        sub, ids = subgraph_from_edges(gp_vertices, kept)
-        colors = _bipartition_assignment(sub, ids)
+        colors = _bipartition_assignment(*subgraph_from_edges(gp_vertices, kept))
         if colors is None:
             continue
-        assert colors[e[0]] == colors[e[1]], "piece part would be bipartite outright"
-        tail_cut = _tail_cactus_cut(g, ts.tail_vertices, colors)
-        if tail_cut is None:
+        if colors[e[0]] != colors[e[1]]:
+            raise AssertionError("piece part would be bipartite outright")
+        seed = _extend_by_cactus_cut(*induced_subgraph(g, ts.tail_vertices), colors)
+        if seed is None:
             continue
-        seed = dict(colors)
-        seed.update(tail_cut)
         return _seeded_result(
-            g, d, rest, seed, ts.y + 1,
-            list(ts.tail_odd_cycles) + [ring_wit],
+            g, d, nb.rest, seed, nb.prefix_witnesses[:-1],
+            ts.tail_odd_cycles + (ring_wit,),
             driver, "ioc_cycle_scan_seed",
         )
-    all_wits = list(_prefix_witnesses(g, ts.prefix)) + list(ts.tail_odd_cycles)
-    return _strict_bound_result(g, d, all_wits, driver, "ioc_cycle_scan_exhausted")
+    return _strict_bound_result(g, d, nb.witnesses, driver, "ioc_cycle_scan_exhausted")
 
 
 def _case_ioc_neighbor_single_test(
@@ -298,45 +309,49 @@ def _case_ioc_neighbor_single_test(
     edges; that part is tested for bipartiteness once and the piece (plus
     root edges) is solved as a one-cycle cactus under the forced colors.
     """
-    assert ts.y == 0, "single-test path requires an odd-cycle-free tail"
-    hk = ts.prefix[-1]
-    rest = ts.prefix[:-1]
-    tail_set = set(ts.tail_vertices)
-    cross = _cross_edges(g, hk, tail_set)
-    e1, e2 = hk.root_edges
-    root = hk.roots[0]
+    if ts.y != 0:
+        raise GraphError("single-test path requires an odd-cycle-free tail")
+    nb = _neighbor(g, ts)
+    e1, e2 = nb.hk.root_edges
     excluded = {tuple(sorted(e1)), tuple(sorted(e2))}
-    other_cross = [e for e in cross if tuple(sorted(e)) not in excluded]
+    other_cross = [e for e in nb.cross if tuple(sorted(e)) not in excluded]
 
-    tail_edges = [(u, v) for u, v in g.edges if u in tail_set and v in tail_set]
-    gp_vertices = sorted(tail_set | {u for u, _ in other_cross})
-    sub, ids = subgraph_from_edges(gp_vertices, tail_edges + other_cross)
-    colors = _bipartition_assignment(sub, ids)
-
-    ring_wit = odd_cycle_certificates(g, Decomposition((hk,)))[0]
-    all_wits = list(_prefix_witnesses(g, ts.prefix)) + list(ts.tail_odd_cycles)
+    tail_edges = [(u, v) for u, v in g.edges if u in nb.tail_set and v in nb.tail_set]
+    gp_vertices = sorted(nb.tail_set | {u for u, _ in other_cross})
+    colors = _bipartition_assignment(*subgraph_from_edges(gp_vertices, tail_edges + other_cross))
     if colors is None:
-        return _strict_bound_result(g, d, all_wits, driver, "tail_boundary_not_bipartite")
+        return _strict_bound_result(g, d, nb.witnesses, driver, "tail_boundary_not_bipartite")
 
-    piece_vertices = sorted(set(hk.vertices) | {root})
-    hk_set = set(hk.vertices)
-    piece_edges = [(u, v) for u, v in g.edges if u in hk_set and v in hk_set]
-    piece_edges += [(a, b) for a, b in (e1, e2)]
-    psub, pids = subgraph_from_edges(piece_vertices, piece_edges)
-    pindex = {v: i for i, v in enumerate(pids)}
-    pside: list[Optional[int]] = [None] * psub.n
-    for v, s in colors.items():
-        if v in pindex:
-            pside[pindex[v]] = s
-    pres = constrained_cactus_cut(psub, PartialAssignment(tuple(pside)))
-    if pres is None:
-        return _strict_bound_result(g, d, all_wits, driver, "piece_infeasible")
-    seed = dict(colors)
-    for v in range(psub.n):
-        seed[pids[v]] = pres.side[v]
+    piece_vertices = sorted(set(nb.hk.vertices) | {nb.hk.roots[0]})
+    piece = subgraph_from_edges(piece_vertices, nb.hk_edges + [e1, e2])
+    seed = _extend_by_cactus_cut(*piece, colors)
+    if seed is None:
+        return _strict_bound_result(g, d, nb.witnesses, driver, "piece_infeasible")
     return _seeded_result(
-        g, d, rest, seed, 1, [ring_wit], driver, "tail_boundary_single_test"
+        g, d, nb.rest, seed, nb.prefix_witnesses[:-1], nb.prefix_witnesses[-1:],
+        driver, "tail_boundary_single_test",
     )
+
+
+def _tail_result(g: Graph, d: Decomposition, driver: str, ioc_case) -> ApproxResult:
+    """Fold the tail, then settle it by the case its neighbour falls in.
+
+    A CB tail seeds the merge with its bipartition; a tail that swallowed
+    every component is solved exactly; otherwise the piece next to the tail
+    picks the case, and ``ioc_case`` settles an IOC neighbour.
+    """
+    ts = merge_tail(g, d)
+    if ts.tail_kind == TAIL_CB:
+        colors = _bipartition_assignment(*induced_subgraph(g, ts.tail_vertices))
+        if colors is None:
+            raise GraphError("CB tail is not bipartite; decomposition is corrupt")
+        prefix_wits = odd_cycle_certificates(g, Decomposition(ts.prefix))
+        return _seeded_result(g, d, ts.prefix, colors, prefix_wits, (), driver, "cb_tail_seed")
+    if not ts.prefix:
+        return _exact_cactus_result(g, d, ts.y, ts.tail_odd_cycles, driver)
+    if ts.prefix[-1].kind == KIND_CB_GRAPH:
+        return _case_cb_neighbor(g, d, ts, driver)
+    return ioc_case(g, d, ts, driver)
 
 
 def thm2_approx(g: Graph) -> ApproxResult:
@@ -348,22 +363,7 @@ def thm2_approx(g: Graph) -> ApproxResult:
     or the strict upper bound.
     """
     d = tree_bipartite_decompose(g)
-    return _thm2_from(g, d, driver=ALGO_THM2)
-
-
-def _thm2_from(g: Graph, d: Decomposition, driver: str) -> ApproxResult:
-    ts = merge_tail(g, d)
-    if ts.tail_kind == TAIL_CB:
-        sub, ids = induced_subgraph(g, ts.tail_vertices)
-        colors = _bipartition_assignment(sub, ids)
-        if colors is None:
-            raise GraphError("CB tail is not bipartite; decomposition is corrupt")
-        return _seeded_result(g, d, ts.prefix, colors, 0, (), driver, "cb_tail_seed")
-    if not ts.prefix:
-        return _exact_cactus_result(g, d, ts.y, ts.tail_odd_cycles, driver)
-    if ts.prefix[-1].kind == KIND_CB_GRAPH:
-        return _case_cb_neighbor(g, d, ts, driver)
-    return _case_ioc_neighbor_scan(g, d, ts, driver)
+    return _tail_result(g, d, ALGO_THM2, _case_ioc_neighbor_scan)
 
 
 def thm3_approx(g: Graph) -> ApproxResult:
@@ -385,18 +385,7 @@ def thm3_approx(g: Graph) -> ApproxResult:
         return replace(
             base, algorithm=ALGO_THM3, driver=ALGO_THM3, method="witness_count_shortcut"
         )
-    ts = merge_tail(g, d)
-    if ts.tail_kind == TAIL_CB:
-        sub, ids = induced_subgraph(g, ts.tail_vertices)
-        colors = _bipartition_assignment(sub, ids)
-        if colors is None:
-            raise GraphError("CB tail is not bipartite; decomposition is corrupt")
-        return _seeded_result(g, d, ts.prefix, colors, 0, (), ALGO_THM3, "cb_tail_seed")
-    if not ts.prefix:
-        return _exact_cactus_result(g, d, ts.y, ts.tail_odd_cycles, ALGO_THM3)
-    if ts.prefix[-1].kind == KIND_CB_GRAPH:
-        return _case_cb_neighbor(g, d, ts, ALGO_THM3)
-    return _case_ioc_neighbor_single_test(g, d, ts, ALGO_THM3)
+    return _tail_result(g, d, ALGO_THM3, _case_ioc_neighbor_single_test)
 
 
 def auto_approx(g: Graph, effort: str = "best") -> ApproxResult:
@@ -408,62 +397,3 @@ def auto_approx(g: Graph, effort: str = "best") -> ApproxResult:
     if effort == "fast":
         return thm1_approx(g)
     return thm2_approx(g)
-
-
-def lemma2_finish(
-    g: Graph,
-    d: Decomposition,
-    i: int,
-    tail_assignment,
-    tail_witnesses: Sequence[OddCycleWitness] = (),
-) -> ApproxResult:
-    """Merge components before index ``i`` onto a given maximum suffix cut.
-
-    ``i`` is 1-based: the suffix is components i..t and ``tail_assignment``
-    must be a maximum cut of its induced subgraph (vertex -> side mapping,
-    or a full Cut restricted to it). The certificate assumes maximality of
-    the seed and that the suffix contains an even cycle.
-    """
-    if not 1 <= i <= d.t:
-        raise GraphError(f"index {i} out of range for {d.t} components")
-    suffix_vertices = sorted(
-        v for comp in d.components[i - 1 :] for v in comp.vertices
-    )
-    if isinstance(tail_assignment, Cut):
-        seed = {v: tail_assignment.side[v] for v in suffix_vertices}
-    else:
-        seed = dict(tail_assignment)
-    if sorted(seed) != suffix_vertices:
-        raise GraphError("seed must assign exactly the suffix vertices")
-    covered = set(seed)
-    m_prime = sum(1 for u, v in g.edges if u in covered and v in covered)
-    cut_prime = sum(
-        1 for u, v in g.edges if u in covered and v in covered and seed[u] != seed[v]
-    )
-    l_value = m_prime - cut_prime
-    prefix = d.components[: i - 1]
-    return _seeded_result(
-        g, d, prefix, seed, l_value, tail_witnesses, ALGO_THM2, "explicit_seed"
-    )
-
-
-@dataclass(frozen=True)
-class StrictBoundCertificate:
-    """Arithmetic of the re-certified merge cut under a strict upper bound."""
-
-    lower_bound: Fraction
-    mc_upper_bound: int
-    ratio: Fraction
-
-
-def lemma3_certificate(g: Graph, x: int) -> StrictBoundCertificate:
-    """Certificate metadata when max cut <= m - x - 1 has been proven.
-
-    The plain merge cut of size at least (m + n - x - 1)/2 then has ratio
-    at least (m + n - x - 1) / (2 (m - x - 1)) >= 1/2 + n/(2m).
-    """
-    upper = g.m - x - 1
-    if upper <= 0:
-        raise GraphError("strict bound needs m - x - 1 >= 1")
-    lower = Fraction(g.m + g.n - x - 1, 2)
-    return StrictBoundCertificate(lower, upper, lower / upper)

@@ -374,7 +374,8 @@ def _biconnected_blocks(g: Graph) -> list[list[tuple[int, int]]]:
                             if e == (u, v):
                                 break
                         blocks.append(blk)
-    assert not edge_stack
+    if edge_stack:
+        raise AssertionError("block search left edges unassigned")
     return blocks
 
 
@@ -439,7 +440,8 @@ def _even_cycle_in_block(g: Graph, block_edges: list[tuple[int, int]]) -> EvenCy
         if first_odd is None:
             first_odd = cyc
 
-    assert first_odd is not None, "block with surplus edges has no fundamental cycle"
+    if first_odd is None:
+        raise AssertionError("block with surplus edges has no fundamental cycle")
     ring = first_odd[:-1]
     on_ring = set(ring)
     pos = {v: i for i, v in enumerate(ring)}

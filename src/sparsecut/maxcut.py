@@ -139,12 +139,19 @@ def component_max_cut(g: Graph, comp: Component) -> dict[int, int]:
     return side
 
 
-def _merge(
+def greedy_merge(
     g: Graph,
-    components: Sequence[Component],
-    seed: Optional[Mapping[int, int]],
-    collect_steps: bool,
-):
+    d: Decomposition | Sequence[Component],
+    seed: Optional[Mapping[int, int]] = None,
+) -> Cut:
+    """Merge the components' optimal cuts, last component first.
+
+    ``seed`` optionally pre-assigns a suffix of the graph (used when a
+    maximum cut of the tail is already known); the listed components must
+    cover exactly the remaining vertices. Ties in the orientation test
+    flip the component, matching the construction the certificates assume.
+    """
+    components = d.components if isinstance(d, Decomposition) else tuple(d)
     n = g.n
     adj = g.adjacency
     side: list[Optional[int]] = [None] * n
@@ -156,7 +163,6 @@ def _merge(
             su, sv = side[u], side[v]
             if su is not None and sv is not None and su != sv:
                 size += 1
-    steps = []
     for i in range(len(components) - 1, -1, -1):
         comp = components[i]
         csides = component_max_cut(g, comp)
@@ -183,39 +189,9 @@ def _merge(
             for v in comp.vertices:
                 side[v] = csides[v]
             size += internal + keep
-        if collect_steps:
-            steps.append({"component": i, "cross_total": keep + flip, "cross_cut": max(keep, flip)})
     if any(s is None for s in side):
         raise GraphError("merge did not assign every vertex")
-    cut = Cut(n, tuple(side), size)  # type: ignore[arg-type]
-    return cut, steps
-
-
-def greedy_merge(
-    g: Graph,
-    d: Decomposition | Sequence[Component],
-    seed: Optional[Mapping[int, int]] = None,
-) -> Cut:
-    """Merge the components' optimal cuts, last component first.
-
-    ``seed`` optionally pre-assigns a suffix of the graph (used when a
-    maximum cut of the tail is already known); the listed components must
-    cover exactly the remaining vertices. Ties in the orientation test
-    flip the component, matching the construction the certificates assume.
-    """
-    comps = d.components if isinstance(d, Decomposition) else tuple(d)
-    cut, _ = _merge(g, comps, seed, collect_steps=False)
-    return cut
-
-
-def greedy_merge_steps(
-    g: Graph,
-    d: Decomposition | Sequence[Component],
-    seed: Optional[Mapping[int, int]] = None,
-) -> tuple[Cut, list[dict]]:
-    """Like :func:`greedy_merge` but also reports per-step cross-edge cuts."""
-    comps = d.components if isinstance(d, Decomposition) else tuple(d)
-    return _merge(g, comps, seed, collect_steps=True)
+    return Cut(n, tuple(side), size)  # type: ignore[arg-type]
 
 
 def _certified(

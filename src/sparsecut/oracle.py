@@ -73,7 +73,8 @@ def exact_max_cut(g: Graph) -> Cut:
             best_k = lo + i
     side = [SIDE_A] + [(best_k >> (v - 1)) & 1 for v in range(1, n)]
     cut = Cut.from_sides(g, side)
-    assert cut.size == best_size
+    if cut.size != best_size:
+        raise AssertionError(f"rebuilt cut has size {cut.size}, expected {best_size}")
     return cut
 
 
@@ -128,7 +129,8 @@ def constrained_exact(g: Graph, pa, target: int) -> Optional[Cut]:
             for i, v in enumerate(free):
                 side[v] = (k >> i) & 1
             cut = Cut.from_sides(g, side)
-            assert cut.size >= target
+            if cut.size < target:
+                raise AssertionError(f"rebuilt cut has size {cut.size}, below target {target}")
             return cut
     return None
 

@@ -6,15 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sparsecut import (
-    Cut,
     GraphError,
     KIND_CB_GRAPH,
     auto_approx,
     build_graph,
     exact_max_cut,
-    induced_subgraph,
-    lemma2_finish,
-    lemma3_certificate,
+    gnm_connected,
     merge_tail,
     random_cactus,
     random_subcubic,
@@ -22,7 +19,6 @@ from sparsecut import (
     thm2_approx,
     thm3_approx,
     tree_bipartite_decompose,
-    two_color,
     verify_result,
 )
 from tests.conftest import random_connected_graph
@@ -215,12 +211,12 @@ def test_tiny_graphs():
         assert r.guaranteed_ratio == 1
 
 
-# --------------------------------------------------------------- lemma2_finish
+# ------------------------------------------------- seeded merge (paper Lemma 2)
 
 def test_lemma2_identity_on_whole_graph(c4):
-    d = tree_bipartite_decompose(c4)
-    cut = exact_max_cut(c4)
-    r = lemma2_finish(c4, d, 1, cut)
+    # the CB tail is the whole graph: its bipartition is the seed
+    r = thm2_approx(c4)
+    assert r.method == "cb_tail_seed"
     assert r.cut.size == 4
     assert r.guaranteed_ratio == 1
 
@@ -229,11 +225,8 @@ def test_lemma2_c4_with_pendant_triangle(c4_pendant_triangle):
     g = c4_pendant_triangle
     d = tree_bipartite_decompose(g)
     assert [c.kind for c in d.components] == ["ioc_tree", "cb_graph"]
-    sub, ids = induced_subgraph(g, d.components[-1].vertices)
-    coloring = two_color(sub)
-    assert isinstance(coloring, Cut)
-    seed = {ids[v]: coloring.side[v] for v in range(sub.n)}
-    r = lemma2_finish(g, d, 2, seed)
+    r = thm2_approx(g)
+    assert r.method == "cb_tail_seed"
     # m=7, n=6, x=1 (prefix), m'=4, n'=4, l=0
     assert r.lower_bound == Fraction(7 + 6 - 1 + 4 - 4 - 0, 2) == 6
     assert r.cut.size == 6 == exact_max_cut(g).size
@@ -245,56 +238,54 @@ def test_lemma2_oracle_sweep():
     while checked < 40:
         n = rng.randint(4, 12)
         g = random_connected_graph(rng, n, rng.randint(n, min(n + 8, n * (n - 1) // 2)))
-        d = tree_bipartite_decompose(g)
-        if d.t < 2:
+        if tree_bipartite_decompose(g).t < 2:
             continue
-        i = d.t
-        suffix = d.components[i - 1].vertices
-        sub, ids = induced_subgraph(g, suffix)
-        if sub.m < sub.n:  # suffix must contain an even cycle for the chain
+        r = thm2_approx(g)
+        if r.method != "cb_tail_seed":  # the suffix is the CB tail, seeded exactly
             continue
-        from sparsecut.graph import EvenCycleWitness, is_even_cycle_free
-
-        if not isinstance(is_even_cycle_free(sub), EvenCycleWitness):
-            continue
-        best = exact_max_cut(sub)
-        seed = {ids[v]: best.side[v] for v in range(sub.n)}
-        r = lemma2_finish(g, d, i, seed)
         mc = exact_max_cut(g).size
         assert Fraction(r.cut.size, mc) >= Fraction(1, 2) + Fraction(g.n, 2 * g.m)
         assert r.cut.size >= math.ceil(r.lower_bound)
         checked += 1
 
 
-def test_lemma2_rejects_bad_seed(c4):
-    d = tree_bipartite_decompose(c4)
-    with pytest.raises(GraphError, match="suffix"):
-        lemma2_finish(c4, d, 1, {0: 0})
+# ------------------------------------------------ strict bound (paper Lemma 3)
 
+STRICT_METHODS = {"cb_boundary_not_bipartite", "cb_tail_infeasible", "ioc_cycle_scan_exhausted"}
 
-# --------------------------------------------------------- lemma3_certificate
 
 def test_lemma3_arithmetic_k4_shape(k4):
-    cert = lemma3_certificate(k4, 1)
-    assert cert.ratio == Fraction(6 + 4 - 1 - 1, 2 * (6 - 1 - 1)) == 1
-    assert cert.mc_upper_bound == 4
+    r = thm2_approx(k4)
+    assert r.method in STRICT_METHODS
+    assert len(r.witnesses) == 1
+    assert r.guaranteed_ratio == Fraction(6 + 4 - 1 - 1, 2 * (6 - 1 - 1)) == 1
+    assert r.mc_upper_bound == 4
 
 
-def test_lemma3_arithmetic_x0(petersen):
-    m, n = petersen.m, petersen.n
-    cert = lemma3_certificate(petersen, 0)
-    assert cert.ratio == Fraction(m + n - 1, 2 * (m - 1))
+def test_lemma3_arithmetic_x0():
+    g = gnm_connected(8, 10, 0)
+    m, n = g.m, g.n
+    r = thm2_approx(g)
+    assert r.method in STRICT_METHODS
+    assert r.witnesses == ()
+    assert r.mc_upper_bound == m - 1
+    assert r.guaranteed_ratio == Fraction(m + n - 1, 2 * (m - 1))
 
 
 def test_lemma3_never_exceeds_achievable():
     rng = random.Random(60)
-    for _ in range(40):
+    checked = 0
+    while checked < 40:
         n = rng.randint(4, 14)
         g = random_connected_graph(rng, n, rng.randint(n, min(n + 8, n * (n - 1) // 2)))
-        r = thm1_approx(g)
+        r = thm2_approx(g)
+        if r.method not in STRICT_METHODS:
+            continue
+        x = len(r.witnesses)
         mc = exact_max_cut(g).size
-        if mc > g.m - r.x - 1:
-            continue  # strict bound hypothesis does not hold here
-        cert = lemma3_certificate(g, r.x)
-        assert cert.ratio <= Fraction(r.cut.size, mc)
-        assert cert.ratio >= Fraction(1, 2) + Fraction(n, 2 * g.m)
+        assert mc <= r.mc_upper_bound == g.m - x - 1
+        assert r.lower_bound >= Fraction(g.m + n - x - 1, 2)
+        assert r.guaranteed_ratio == r.lower_bound / r.mc_upper_bound
+        assert r.guaranteed_ratio <= Fraction(r.cut.size, mc)
+        assert r.guaranteed_ratio >= Fraction(1, 2) + Fraction(n, 2 * g.m)
+        checked += 1

@@ -206,3 +206,30 @@ def test_bench_config_rejects_unknown_keys():
 
     with pytest.raises(GraphError, match="unknown bench config keys"):
         BenchConfig.from_json('{"model": "x", "params": {}, "count": 1, "seed": 1, "bogus": 2}')
+
+
+def _run_bench_config(tmp_path, capsys, text):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(text)
+    code = run_cli(["bench", "--config", str(cfg_path)])
+    return code, capsys.readouterr().err
+
+
+def test_bench_cli_rejects_missing_key(tmp_path, capsys):
+    code, err = _run_bench_config(tmp_path, capsys, '{"model": "gnm_connected", "count": 1, "seed": 1}')
+    assert code == 2
+    assert err.startswith("error: missing bench config keys: ['params']")
+
+
+def test_bench_cli_rejects_malformed_json(tmp_path, capsys):
+    code, err = _run_bench_config(tmp_path, capsys, '{"model": "gnm_connected",')
+    assert code == 2
+    assert err.startswith("error: bench config is not valid JSON")
+
+
+def test_bench_cli_rejects_unknown_algorithm(tmp_path, capsys):
+    cfg = {"model": "gnm_connected", "params": {"n": 6, "m": 7}, "count": 1, "seed": 1,
+           "algorithms": ["thm1", "thm9"]}
+    code, err = _run_bench_config(tmp_path, capsys, json.dumps(cfg))
+    assert code == 2
+    assert err.startswith("error: unknown bench algorithms: ['thm9']")

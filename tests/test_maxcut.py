@@ -16,7 +16,6 @@ from sparsecut import (
     cut_size,
     exact_max_cut,
     greedy_merge,
-    greedy_merge_steps,
     thm1_approx,
     tree_bipartite_decompose,
     verify_result,
@@ -83,10 +82,15 @@ def test_merge_cross_edge_property():
         n = rng.randint(3, 14)
         g = random_connected_graph(rng, n, rng.randint(n - 1, min(n + 10, n * (n - 1) // 2)))
         d = tree_bipartite_decompose(g)
-        cut, steps = greedy_merge_steps(g, d)
+        cut = greedy_merge(g, d)
         assert cut.size == cut_size(g, cut)
-        for s in steps:
-            assert s["cross_cut"] >= math.ceil(s["cross_total"] / 2)
+        # each component, once placed, cuts at least half of its edges to
+        # the components after it; later merge steps never move it again
+        idx = d.component_index(g.n)
+        for i in range(d.t):
+            later = [(u, v) for u, v in g.edges if min(idx[u], idx[v]) == i < max(idx[u], idx[v])]
+            cross_cut = sum(1 for u, v in later if cut.side[u] != cut.side[v])
+            assert cross_cut >= math.ceil(len(later) / 2)
 
 
 # ------------------------------------------------------------------------ thm1

@@ -276,19 +276,20 @@ def _case_ioc_neighbor_scan(
     """
     nb = _neighbor(g, ts)
     gp_vertices = sorted(set(nb.hk.vertices) | {w for _, w in nb.cross})
-    gp_edges = nb.hk_edges + nb.cross
+    gp_edges = [tuple(sorted(ed)) for ed in nb.hk_edges + nb.cross]
     ring_wit = nb.prefix_witnesses[-1]
     ring = ring_wit.cycle
     ring_edges = [tuple(sorted((ring[i], ring[i + 1]))) for i in range(len(ring) - 1)]
+    tail = induced_subgraph(g, ts.tail_vertices)
 
     for e in ring_edges:
-        kept = [ed for ed in gp_edges if tuple(sorted(ed)) != e]
+        kept = [ed for ed in gp_edges if ed != e]
         colors = _bipartition_assignment(*subgraph_from_edges(gp_vertices, kept))
         if colors is None:
             continue
         if colors[e[0]] != colors[e[1]]:
             raise AssertionError("piece part would be bipartite outright")
-        seed = _extend_by_cactus_cut(*induced_subgraph(g, ts.tail_vertices), colors)
+        seed = _extend_by_cactus_cut(*tail, colors)
         if seed is None:
             continue
         return _seeded_result(

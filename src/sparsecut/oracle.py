@@ -1,16 +1,28 @@
 """Ground-truth engines: exact max cut, constrained exact cut, result checks.
 
-Enumeration is vectorized with numpy over side patterns (vertex 0 pinned to
-SIDE_A for the unconstrained case), processed in chunks so memory stays
-bounded. Patterns are scanned in increasing value, which makes the
-smallest-pattern tie-break exact.
+Both exact entry points run one enumeration kernel, ``_pattern_sizes``. The
+unfixed ("free") vertices, in vertex order, take the bits of a side pattern:
+free vertex i is on side (pattern >> i) & 1. ``exact_max_cut`` fixes vertex 0
+to SIDE_A and frees the rest; ``constrained_exact`` fixes what the partial
+assignment fixes.
+
+The kernel fills a uint16 table of the cut size of every pattern by doubling.
+Adding free vertex v with bit i copies the table's lower 2^i entries into the
+next 2^i, then adds 1 in place, on strided half-views of the doubled table,
+wherever an edge from v to a fixed vertex or to an earlier free vertex is cut.
+No pattern index array is ever built. At most the low ``_CHUNK_BITS`` bits
+are tabled this way; each value of the higher bits is one chunk: a copy of the
+low table, plus one half-view add per edge between a low and a high vertex,
+plus one constant for the edges with no low endpoint. Patterns come out in
+increasing value inside and across chunks, which makes the smallest-pattern
+tie-break and the first-pattern-reaching-the-target rule exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -31,22 +43,63 @@ def _check_cap(g: Graph) -> None:
         )
 
 
-def _chunk_sizes(edges, shifts, lo: int, hi: int) -> np.ndarray:
-    """Cut sizes of patterns lo..hi-1; shifts[v] < 0 means v is pinned to side 0."""
-    ks = np.arange(lo, hi, dtype=np.int64)
-    sizes = np.zeros(hi - lo, dtype=np.uint16)
-    for u, v in edges:
-        su, sv = shifts[u], shifts[v]
-        if su < 0 and sv < 0:
+def _pattern_sizes(
+    g: Graph, fixed: Sequence[Optional[int]]
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Cut sizes of all side patterns of the free vertices, chunk by chunk.
+
+    Yields ``(lo, sizes)`` in increasing ``lo``; ``sizes[k]`` is the cut size
+    of pattern lo + k. A yielded array is only valid until the next one.
+    """
+    free = [v for v in range(g.n) if fixed[v] is None]
+    low = min(len(free), _CHUNK_BITS)
+    low_bit = {v: i for i, v in enumerate(free[:low])}
+    table = np.zeros(1 << low, dtype=np.uint16)
+    for v, i in low_bit.items():
+        half = 1 << i
+        t = table[: 2 * half]
+        t[half:] = t[:half]
+        for u in g.adjacency[v]:
+            s = fixed[u]
+            if s is not None:
+                t.reshape(2, half)[1 - s] += 1
+            elif u in low_bit and low_bit[u] < i:
+                q = t.reshape(2, -1, 2, 1 << low_bit[u])
+                q[0, :, 1] += 1
+                q[1, :, 0] += 1
+
+    high = free[low:]
+    cross = []  # (low bit, high vertex)
+    rest = []  # edges with no low endpoint
+    for u, v in g.edges:
+        if u in low_bit and v in low_bit:
             continue
-        if su < 0:
-            bits = (ks >> sv) & 1
-        elif sv < 0:
-            bits = (ks >> su) & 1
+        if u in low_bit or v in low_bit:
+            j, w = (low_bit[u], v) if u in low_bit else (low_bit[v], u)
+            if fixed[w] is None:  # a low-fixed edge is in the table already
+                cross.append((j, w))
         else:
-            bits = ((ks >> su) ^ (ks >> sv)) & 1
-        sizes += bits.astype(np.uint16)
-    return sizes
+            rest.append((u, v))
+    known = list(fixed)
+    for h in range(1 << len(high)):
+        for i, w in enumerate(high):
+            known[w] = (h >> i) & 1
+        sizes = table.copy() if high else table
+        const = sum(known[u] != known[v] for u, v in rest)
+        if const:
+            sizes += const
+        for j, w in cross:
+            sizes.reshape(-1, 2, 1 << j)[:, 1 - known[w]] += 1
+        yield h << low, sizes
+
+
+def _pattern_sides(fixed: Sequence[Optional[int]], k: int) -> list[int]:
+    """Full side list of pattern k over the free vertices of ``fixed``."""
+    side = list(fixed)
+    free = [v for v, s in enumerate(side) if s is None]
+    for i, v in enumerate(free):
+        side[v] = (k >> i) & 1
+    return side
 
 
 def exact_max_cut(g: Graph) -> Cut:
@@ -56,23 +109,15 @@ def exact_max_cut(g: Graph) -> Cut:
     smallest wins.
     """
     _check_cap(g)
-    n = g.n
-    if n == 1:
-        return Cut.from_sides(g, [SIDE_A])
-    shifts = [-1] + list(range(n - 1))  # vertex v>0 uses bit v-1
-    total = 1 << (n - 1)
+    fixed = [SIDE_A] + [None] * (g.n - 1)
     best_size = -1
     best_k = 0
-    chunk = 1 << _CHUNK_BITS
-    for lo in range(0, total, chunk):
-        hi = min(lo + chunk, total)
-        sizes = _chunk_sizes(g.edges, shifts, lo, hi)
+    for lo, sizes in _pattern_sizes(g, fixed):
         i = int(np.argmax(sizes))
         if int(sizes[i]) > best_size:
             best_size = int(sizes[i])
             best_k = lo + i
-    side = [SIDE_A] + [(best_k >> (v - 1)) & 1 for v in range(1, n)]
-    cut = Cut.from_sides(g, side)
+    cut = Cut.from_sides(g, _pattern_sides(fixed, best_k))
     if cut.size != best_size:
         raise AssertionError(f"rebuilt cut has size {cut.size}, expected {best_size}")
     return cut
@@ -85,50 +130,11 @@ def constrained_exact(g: Graph, pa, target: int) -> Optional[Cut]:
     returns the first pattern that reaches the target.
     """
     _check_cap(g)
-    n = g.n
     fixed = list(pa.side)
-    free = [v for v in range(n) if fixed[v] is None]
-    if not free:
-        cut = Cut.from_sides(g, fixed)
-        return cut if cut.size >= target else None
-
-    shifts = [-1] * n
-    for i, v in enumerate(free):
-        shifts[v] = i
-
-    # classify edges: fixed-fixed adds to base; fixed-free contributes a bit
-    # or its complement; free-free contributes the xor of two bits
-    base = 0
-    var_edges = []
-    for u, v in g.edges:
-        fu, fv = fixed[u], fixed[v]
-        if fu is not None and fv is not None:
-            base += 1 if fu != fv else 0
-        elif fu is None and fv is None:
-            var_edges.append((shifts[u], shifts[v], 0))
-        else:
-            w, s = (u, fv) if fu is None else (v, fu)
-            var_edges.append((shifts[w], -1, s))  # cut when bit(w) != s
-
-    total = 1 << len(free)
-    chunk = 1 << _CHUNK_BITS
-    for lo in range(0, total, chunk):
-        hi = min(lo + chunk, total)
-        ks = np.arange(lo, hi, dtype=np.int64)
-        sizes = np.full(hi - lo, base, dtype=np.int64)
-        for a, b, s in var_edges:
-            if b < 0:
-                bits = (ks >> a) & 1
-                sizes += bits != s
-            else:
-                sizes += ((ks >> a) ^ (ks >> b)) & 1
-        ok = np.nonzero(sizes >= target)[0]
+    for lo, sizes in _pattern_sizes(g, fixed):
+        ok = np.flatnonzero(sizes >= target)
         if ok.size:
-            k = lo + int(ok[0])
-            side = list(fixed)
-            for i, v in enumerate(free):
-                side[v] = (k >> i) & 1
-            cut = Cut.from_sides(g, side)
+            cut = Cut.from_sides(g, _pattern_sides(fixed, lo + int(ok[0])))
             if cut.size < target:
                 raise AssertionError(f"rebuilt cut has size {cut.size}, below target {target}")
             return cut

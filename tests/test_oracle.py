@@ -30,6 +30,31 @@ def brute_force_mc(g):
     return best
 
 
+def first_pattern_cut(g, fixed, target=None):
+    """Side tuple of the first pattern, in increasing order, that is optimal
+    (``target`` None) or reaches ``target``; None if no pattern reaches it.
+
+    Free vertex i (in vertex order) takes bit i of the pattern, as in the
+    oracle; pure Python, independent of the numpy kernel.
+    """
+    free = [v for v in range(g.n) if fixed[v] is None]
+    best, best_side = -1, None
+    for k in range(1 << len(free)):
+        side = list(fixed)
+        for i, v in enumerate(free):
+            side[v] = (k >> i) & 1
+        size = sum(1 for u, v in g.edges if side[u] != side[v])
+        if target is not None and size >= target:
+            return tuple(side)
+        if target is None and size > best:
+            best, best_side = size, tuple(side)
+    return best_side
+
+
+def complete_graph(n):
+    return build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+
+
 def test_k3(k3):
     assert exact_max_cut(k3).size == 2
 
@@ -43,12 +68,22 @@ def test_petersen(petersen):
 
 
 def test_oracle_matches_reference_enumeration():
+    # dense graphs have many optimal patterns, so the full side tuple checks
+    # the smallest-pattern tie-break and not just the optimum's size
     rng = random.Random(7)
+    graphs = [complete_graph(n) for n in range(1, 12)]
     for _ in range(40):
         n = rng.randint(2, 9)
         m = rng.randint(n - 1, min(n * (n - 1) // 2, n + 6))
-        g = random_connected_graph(rng, n, m)
-        assert exact_max_cut(g).size == brute_force_mc(g)
+        graphs.append(random_connected_graph(rng, n, m))
+    for _ in range(60):
+        n = rng.randint(2, 11)
+        full = n * (n - 1) // 2
+        graphs.append(random_connected_graph(rng, n, rng.randint(max(n - 1, full // 2), full)))
+    for g in graphs:
+        cut = exact_max_cut(g)
+        assert cut.size == brute_force_mc(g)
+        assert cut.side == first_pattern_cut(g, [0] + [None] * (g.n - 1))
 
 
 def test_oracle_fixes_vertex_zero():
@@ -68,6 +103,29 @@ def test_oracle_smallest_pattern_tie_break():
     assert cut.side == (0, 1, 0)
     g2 = build_graph(2, [(0, 1)])
     assert exact_max_cut(g2).side == (0, 1)
+
+
+@pytest.mark.parametrize("cyclic", [False, True])
+def test_oracle_optimum_in_second_chunk(cyclic):
+    # n=22 leaves 21 free bits, one more than a chunk holds; the unique
+    # alternating optimum sets bit 20 (vertex 21 on side 1)
+    n = 22
+    edges = [(i, i + 1) for i in range(n - 1)] + ([(n - 1, 0)] if cyclic else [])
+    g = build_graph(n, edges)
+    cut = exact_max_cut(g)
+    assert cut.side == tuple(v % 2 for v in range(n))
+    assert cut.size == g.m
+
+
+@pytest.mark.parametrize("n", [22, 24])
+def test_oracle_complete_graph_across_chunks(n):
+    # K_22 and K_24 span 2 and 8 chunks; the smallest optimal pattern puts
+    # vertices 1..n/2 on side 1
+    g = complete_graph(n)
+    cut = exact_max_cut(g)
+    assert cut.size == n * n // 4
+    half = n // 2
+    assert cut.side == (0,) + (1,) * half + (0,) * (half - 1)
 
 
 def test_cap_error():
@@ -107,10 +165,14 @@ def test_constrained_bowtie_center(bowtie):
 
 
 def test_constrained_matches_filtered_enumeration():
+    # the reference returns the first pattern reaching the target, so the
+    # side tuple is compared too; half the graphs are dense, up to complete
     rng = random.Random(23)
-    for _ in range(30):
-        n = rng.randint(2, 8)
-        g = random_connected_graph(rng, n, rng.randint(n - 1, min(n + 5, n * (n - 1) // 2)))
+    for i in range(80):
+        n = rng.randint(2, 8 if i < 40 else 10)
+        full = n * (n - 1) // 2
+        m = rng.randint(n - 1, min(n + 5, full)) if i < 40 else rng.randint(max(n - 1, full // 2), full)
+        g = random_connected_graph(rng, n, m)
         fixed = {v: rng.randint(0, 1) for v in range(n) if rng.random() < 0.4}
         pa = PartialAssignment(tuple(fixed.get(v) for v in range(n)))
         best = -1
@@ -124,6 +186,29 @@ def test_constrained_matches_filtered_enumeration():
         if got is not None:
             assert got.size >= target
             assert pa.respected_by(got)
+            assert got.side == first_pattern_cut(g, pa.side, target)
+
+
+def test_constrained_fixed_vertex_above_chunk_bits():
+    # fixing vertex 21 of a 22-path leaves 21 free bits: two chunks, and the
+    # only optimum with vertex 21 on side 0 puts vertex 20 (bit 20) on side 1
+    n = 22
+    g = build_graph(n, [(i, i + 1) for i in range(n - 1)])
+    mc = exact_max_cut(g).size
+    pa = PartialAssignment.from_sets(n, side_a=[21])
+    cut = constrained_exact(g, pa, mc)
+    assert cut is not None and cut.size == mc
+    assert cut.side == tuple((v + 1) % 2 for v in range(n))
+    assert constrained_exact(g, pa, mc + 1) is None
+
+    rng = random.Random(3)
+    g = random_connected_graph(rng, n, 3 * n)
+    mc = exact_max_cut(g).size
+    for s in (0, 1):
+        pa = PartialAssignment(tuple(s if v == 21 else None for v in range(n)))
+        cut = constrained_exact(g, pa, mc)
+        assert cut is not None and cut.size == mc and cut.side[21] == s
+        assert constrained_exact(g, pa, mc + 1) is None
 
 
 def test_constrained_all_unfixed_reaches_mc():

@@ -33,8 +33,13 @@ _ALGOS = {
 
 
 def _read_graph(path: str) -> Graph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_edge_list(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"byte {exc.start}: not valid UTF-8 ({exc.reason})") from None
+    return parse_edge_list(text)
 
 
 def _frac(f: Fraction) -> str:
@@ -144,6 +149,19 @@ def _cmd_validate(args) -> int:
     return 0 if ok else 1
 
 
+# JSON type and its description for each bench config field; ``true`` is
+# not an integer here, although ``bool`` subclasses ``int``.
+_BENCH_FIELD_TYPES = {
+    "model": (str, "a string"),
+    "params": (dict, "an object"),
+    "count": (int, "an integer"),
+    "seed": (int, "an integer"),
+    "algorithms": (list, "a list of strings"),
+    "oracle": (bool, "true or false"),
+    "output": ((str, type(None)), "a string or null"),
+}
+
+
 @dataclass
 class BenchConfig:
     """Benchmark run description, normally loaded from a JSON file."""
@@ -164,13 +182,19 @@ class BenchConfig:
             raise GraphError(f"bench config is not valid JSON: {exc}") from None
         if not isinstance(data, dict):
             raise GraphError("bench config must be a JSON object")
-        known = {"model", "params", "count", "seed", "algorithms", "oracle", "output"}
-        unknown = set(data) - known
+        unknown = set(data) - set(_BENCH_FIELD_TYPES)
         if unknown:
             raise GraphError(f"unknown bench config keys: {sorted(unknown)}")
         missing = {"model", "params", "count", "seed"} - set(data)
         if missing:
             raise GraphError(f"missing bench config keys: {sorted(missing)}")
+        for key, value in data.items():
+            kind, what = _BENCH_FIELD_TYPES[key]
+            ok = isinstance(value, kind) and not (kind is int and isinstance(value, bool))
+            if key == "algorithms":
+                ok = ok and all(isinstance(a, str) for a in value)
+            if not ok:
+                raise GraphError(f"bench config field {key!r} must be {what}, got {value!r}")
         cfg = cls(**data)
         bad = sorted(set(cfg.algorithms) - set(_ALGOS))
         if bad:

@@ -1,20 +1,111 @@
 """Plain-text edge list format.
 
-Header line "n m", then m lines "u v" with 0-indexed endpoints. Blank
-lines and lines starting with '#' are ignored. Written output is
+Header line "n m", then m lines "u v" with 0-indexed endpoints. Lines are
+split as by ``str.splitlines`` and stripped of surrounding whitespace;
+blank lines and lines starting with '#' are ignored, and every other line
+holds exactly two integers (as ``int`` reads them). Written output is
 canonical: edges with u < v, sorted.
+
+Parsing reads the whole text in one pass through numpy's C reader and
+builds the :class:`Graph` from array operations. Text outside the common
+subset (ASCII digits, spaces, tabs, line ends, full-line comments) is
+tokenised line by line instead, and a rejected file is rescanned line by
+line so the error names its first offending line.
 """
 
 from __future__ import annotations
 
-from .graph import Graph, GraphError, build_graph
+import io
+import math
+import re
+from itertools import accumulate
+
+import numpy as np
+
+from .graph import Graph, GraphError
+
+# ``str.splitlines`` also breaks lines at these; text holding any of them is
+# tokenised line by line, so a comment must not swallow one.
+_OTHER_LINE_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+_COMMENT_LINE = re.compile(rf"^[ \t]*#[^\n{_OTHER_LINE_BREAKS}]*", re.MULTILINE)
+_PLAIN_BYTES = b"0123456789 \t\n"
+# The largest n for which the int64 edge keys u*n + v cannot overflow.
+_MAX_KEYED_N = math.isqrt(np.iinfo(np.int64).max)
 
 
 class ParseError(GraphError):
-    """Malformed edge-list text; the message carries a line number."""
+    """Malformed edge-list input; the message names the offending line, or
+    the offset of the first byte that is not UTF-8."""
 
 
 def parse_edge_list(text: str) -> Graph:
+    rows = _read_plain(text)
+    g = None if rows is None else _build(rows)
+    if g is None:
+        rows = _scan(text)
+        # every line is clean, so only the vertex count can stop the build
+        if rows[0][0] > _MAX_KEYED_N:
+            raise MemoryError(f"n={rows[0][0]} vertices are too many to index the edges")
+        g = _build(np.array(rows, dtype=np.int64))
+    return g
+
+
+def _read_plain(text: str) -> np.ndarray | None:
+    """The rows of ``text`` as an int64 array of shape (k, 2), or None.
+
+    None means the text is outside the plain subset, is empty, or does not
+    have two integers on every line; the line scan then decides.
+    """
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    if "#" in text:
+        text = _COMMENT_LINE.sub("", text)
+    if not text.isascii() or text.encode("ascii").translate(None, _PLAIN_BYTES):
+        return None
+    if not text or text.isspace():
+        return None
+    try:
+        rows = np.loadtxt(io.StringIO(text), dtype=np.int64, comments=None, ndmin=2)
+    except ValueError:  # a line with another token count, or an int64 overflow
+        return None
+    return rows if rows.shape[1] == 2 else None
+
+
+def _build(rows: np.ndarray) -> Graph | None:
+    """Check the header row and the edge rows with array operations.
+
+    Returns None if the header is bad, the edge count differs from it, an
+    edge is out of range, a self-loop or a duplicate, or n is above
+    ``_MAX_KEYED_N``.
+    """
+    n, m = rows[0].tolist()
+    if n < 1 or len(rows) - 1 != m or n > _MAX_KEYED_N:
+        return None
+    pairs = rows[1:]
+    pairs.sort(axis=1)
+    # also the range check: an endpoint >= n lengthens the counts
+    degree = np.bincount(pairs.ravel(), minlength=n)
+    if len(degree) > n:
+        return None
+    # one key per arc, u*n + v and v*n + u; sorted, they are the adjacency
+    # lists end to end, and a self-loop or a duplicate edge repeats a key
+    arcs = (pairs @ np.array([[n, 1], [1, n]])).ravel()
+    arcs.sort()
+    if np.count_nonzero(arcs[1:] == arcs[:-1]):
+        return None
+    ends = list(accumulate(degree.tolist()))
+    nbrs = tuple((arcs % n).tolist())
+    adjacency = tuple(map(nbrs.__getitem__, map(slice, [0] + ends, ends)))
+    lo, hi = pairs.T.tolist()
+    return Graph(n, tuple(zip(lo, hi)), adjacency)
+
+
+def _scan(text: str) -> list[tuple[int, int]]:
+    """Check ``text`` line by line; returns the header and edge rows.
+
+    Raises :class:`ParseError` naming the first offending line in file
+    order; a count mismatch is reported only when every line is clean.
+    """
     header = None
     edges = []
     seen = set()
@@ -49,7 +140,7 @@ def parse_edge_list(text: str) -> Graph:
         raise ParseError("line 1: missing 'n m' header")
     if len(edges) != m:
         raise ParseError(f"header declares m={m} edges but {len(edges)} were listed")
-    return build_graph(n, edges)
+    return [header, *edges]
 
 
 def write_edge_list(g: Graph) -> str:

@@ -4,6 +4,7 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sparsecut import (
     ParseError,
@@ -12,6 +13,7 @@ from sparsecut import (
     write_edge_list,
 )
 from sparsecut.cli import BenchConfig, run_bench, run_cli
+from sparsecut.edgelist import _read_plain
 from tests.conftest import random_connected_graph
 
 
@@ -47,6 +49,228 @@ def test_parse_range_and_count_errors():
         parse_edge_list("# nothing\n")
     with pytest.raises(ParseError, match="two integers"):
         parse_edge_list("3 1\n0 x\n")
+
+
+def reference_parse(text):
+    """The line loop the array parser replaced, kept as its reference."""
+    header = None
+    edges = []
+    seen = set()
+    n = m = 0
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise ParseError(f"line {lineno}: expected two integers, got {raw!r}")
+        try:
+            a, b = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise ParseError(f"line {lineno}: expected two integers, got {raw!r}") from None
+        if header is None:
+            header = (a, b)
+            n, m = a, b
+            if n < 1 or m < 0:
+                raise ParseError(f"line {lineno}: bad header n={n} m={m}")
+            continue
+        if not (0 <= a < n and 0 <= b < n):
+            raise ParseError(f"line {lineno}: edge ({a}, {b}) out of range for n={n}")
+        if a == b:
+            raise ParseError(f"line {lineno}: self-loop ({a}, {b})")
+        key = (a, b) if a < b else (b, a)
+        if key in seen:
+            raise ParseError(f"line {lineno}: duplicate edge ({a}, {b})")
+        seen.add(key)
+        edges.append((a, b))
+    if header is None:
+        raise ParseError("line 1: missing 'n m' header")
+    if len(edges) != m:
+        raise ParseError(f"header declares m={m} edges but {len(edges)} were listed")
+    return build_graph(n, edges)
+
+
+def outcome(parse, text):
+    """The graph ``parse`` builds from ``text``, or its ParseError message."""
+    try:
+        g = parse(text)
+    except ParseError as exc:
+        return ("error", str(exc))
+    ints = [g.n, *(x for e in g.edges for x in e), *(x for a in g.adjacency for x in a)]
+    assert {type(x) for x in ints} == {int}  # no numpy scalars leak out
+    return ("graph", g)
+
+
+def assert_matches_reference(text):
+    assert outcome(parse_edge_list, text) == outcome(reference_parse, text), repr(text)
+
+
+NINES = "9" * 25
+# A large header n is always followed by a bad line here: on clean lines the
+# reference would go on to allocate n adjacency lists.
+CORNER_CASES = [
+    "# triangle\n3 3\n0 1\n1 2\n2 0\n",
+    "   # indented\n3 1\n\t# tab-indented\n0 1\n  #\n",
+    "3 1\n0 1 # c\n",
+    "3 1\n0 1# c\n",
+    "3 1 # header comment\n0 1\n",
+    "3 1\n#0 1\n",
+    "\n\n3 2\n\n0 1\n   \n1 2\n\n",
+    "3 2\r\n0 1\r\n1 2\r\n",
+    "3 2\r0 1\r1 2\r",
+    "3 2\r\n0 1\r1 2\n\r",
+    "# c\r0 1\r3 0\r",
+    "3 2\x0c0 1\x0b1 2\n",
+    "3 2\n0 1\x0c\x0b1 2\n",
+    "3 1\n0\x0c1\n",
+    "3 1\n0\x1c1\n",
+    "3 1\n0 1\x1c",
+    "3 1\n0\x1f1\n",
+    "3 1\n0\xa01\n",
+    "3 1\n0\u20281\n",
+    "# comment\u2028 0 1\n3 0\n",
+    "# comment\x85 1 0\n",
+    "3\t2\n0\t1\n\t1 \t 2\t\n",
+    "+3 1\n+0 2\n",
+    "3 1\n0 +-2\n",
+    "1_0 1\n0 9\n",
+    "3 1\n0 1_\n",
+    "\u0663 1\n0 \u0662\n",
+    "3 1\n0 \uff12\n",
+    "3 1\n-1 2\n",
+    "-3 1\n0 1\n",
+    "3 1\n0 " + NINES + "\n",
+    "3 1\n0 -" + NINES + "\n",
+    "3 " + NINES + "\n0 1\n",
+    NINES + " 1\n0 0\n",
+    "3 1\n0\n",
+    "3 1\n0 1 2\n",
+    "3\n0 1\n",
+    "3 1 0\n0 1 2\n",
+    "3\n0\n",
+    "3 0",
+    "3 0\n",
+    "",
+    "   \n\t\n",
+    "# only a comment\n",
+    "3 2\n0 1\n",
+    "3 1\n0 1\n1 2\n",
+    "0 0\n",
+    "3 1\n1 1\n",
+    "3 2\n0 1\n1 0\n",
+    "3 1\n0 3\n",
+    "3 1\n007 1\n",
+    "\ufeff3 0\n",
+    "3 1\n0 1.0\n",
+    "3 1\n0 0x1\n",
+    "3 1\n\x000 1\n",
+]
+
+
+@pytest.mark.parametrize("text", CORNER_CASES)
+def test_parse_matches_reference_on_corner_cases(text):
+    assert_matches_reference(text)
+
+
+@pytest.mark.parametrize("text", [
+    "# triangle\n3 3\n0 1\n1 2\n2 0\n",
+    "   # indented\n3 1\n\t# tab-indented\n0 1\n  #\n",
+    "\n\n3 2\n\n0 1\n   \n1 2\n\n",
+    "3 2\r\n0 1\r\n1 2\r\n",
+    "3 2\r0 1\r1 2\r",
+    "3\t2\n0\t1\n\t1 \t 2\t\n",
+    "3 0",
+])
+def test_plain_text_takes_the_array_reader(text):
+    # the equivalence tests would hold vacuously if nothing took this path
+    assert _read_plain(text) is not None
+
+
+# the plain ones are what the array reader takes; the others split tokens or
+# lines only in the line scan
+PLAIN_SEPARATORS = [" ", " ", "\t", "  \t"]
+SEPARATORS = PLAIN_SEPARATORS + ["\u3000", "\xa0", "\x1f"]
+PLAIN_LINE_ENDS = ["\n"] * 4 + ["\r\n", "\r"]
+LINE_ENDS = PLAIN_LINE_ENDS + ["\x0c", "\x0b", "\x1c", "\x85", "\u2028"]
+JUNK = ["x", "-1", "+2", "1_0", "\u0663", "1.0", NINES, "-" + NINES, "# c", "1#"]
+
+
+@st.composite
+def edge_list_texts(draw):
+    """Edge-list texts, valid or with a few corruptions; headers stay small."""
+    n = draw(st.integers(1, 9))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=12)) if pairs else []
+    lines = [[str(n), str(len(edges))]]
+    lines += [[str(v), str(u)] if draw(st.booleans()) else [str(u), str(v)] for u, v in edges]
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["junk", "range", "loop", "dup", "drop", "extra", "m", "n"]))
+        row = draw(st.integers(1, len(lines)))
+        if kind in ("junk", "range") and row < len(lines) and lines[row]:
+            col = draw(st.integers(0, len(lines[row]) - 1))
+            bad = draw(st.sampled_from(JUNK)) if kind == "junk" else str(n + draw(st.integers(0, 2)))
+            lines[row][col] = bad
+        elif kind == "loop":
+            v = str(draw(st.integers(0, n - 1)))
+            lines.insert(row, [v, v])
+        elif kind == "dup" and len(lines) > 1:
+            src = lines[draw(st.integers(1, len(lines) - 1))]
+            lines.insert(row, src[::-1] if draw(st.booleans()) else list(src))
+        elif kind == "drop" and lines[row % len(lines)]:
+            lines[row % len(lines)].pop()
+        elif kind == "extra":
+            lines[row % len(lines)].append(draw(st.sampled_from(["0", "# c"])))
+        elif kind == "m" and len(lines[0]) == 2:
+            lines[0][1] = str(max(0, len(edges) + draw(st.integers(-2, 2))))
+        elif kind == "n" and lines[0]:
+            lines[0][0] = draw(st.sampled_from(["0", "-2", "1", "x"]))
+    plain = draw(st.booleans())
+    separators = PLAIN_SEPARATORS if plain else SEPARATORS
+    line_ends = PLAIN_LINE_ENDS if plain else LINE_ENDS
+    out = []
+    for tokens in lines:
+        for _ in range(draw(st.integers(0, 1))):
+            out.append(draw(st.sampled_from(["", "  ", "# note", "  # 1 2", "#"])))
+        indent = draw(st.sampled_from(["", "", " ", "\t"]))
+        out.append(indent + draw(st.sampled_from(separators)).join(tokens))
+    text = "".join(line + draw(st.sampled_from(line_ends)) for line in out)
+    return text if draw(st.booleans()) else text.rstrip("\n")
+
+
+@given(edge_list_texts())
+@settings(max_examples=600)
+def test_parse_matches_reference_on_random_texts(text):
+    assert_matches_reference(text)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("3 2\n0 5\n0 x\n", "line 2: edge (0, 5) out of range for n=3"),
+    ("3 2\n0 x\n0 5\n", "line 2: expected two integers, got '0 x'"),
+    ("3 2\n1 1\n0 5\n", "line 2: self-loop (1, 1)"),
+    ("3 3\n0 1\n1 0\n2 2\n", "line 3: duplicate edge (1, 0)"),
+    ("3 3\n0 1\n0 1\n0 7\n", "line 3: duplicate edge (0, 1)"),
+    ("3 3\n0 1\n2 2\n0 1 # c\n", "line 3: self-loop (2, 2)"),
+    ("3 5\n0 1\n2 2\n", "line 3: self-loop (2, 2)"),
+    ("3 1\n0 1\n0 1\n", "line 3: duplicate edge (0, 1)"),
+    ("3 1\n0 1\n1 2\n", "header declares m=1 edges but 2 were listed"),
+    ("3 3\n0 1\n1 2\n", "header declares m=3 edges but 2 were listed"),
+    ("0 1\n0 0\n", "line 1: bad header n=0 m=1"),
+])
+def test_first_offending_line_wins(text, message):
+    # whatever its kind; the count mismatch only once every line is clean
+    with pytest.raises(ParseError) as info:
+        parse_edge_list(text)
+    assert str(info.value) == message
+    assert outcome(reference_parse, text) == ("error", message)
+
+
+def test_parse_rejects_n_beyond_64_bit_edge_keys():
+    # accepted input narrows here: the reference went on to allocate n
+    # adjacency lists, which no machine holds at this size
+    with pytest.raises(MemoryError, match="too many"):
+        parse_edge_list("3037000500 0\n")
+    with pytest.raises(ParseError, match="line 2: self-loop"):
+        parse_edge_list("3037000500 1\n0 0\n")
 
 
 def test_round_trip_canonical(k4):
@@ -128,6 +352,17 @@ def test_cli_error_exit(tmp_path, capsys):
     assert run_cli(["approx", str(bad)]) == 2
     assert "self-loop" in capsys.readouterr().err
     assert run_cli(["exact", "/nonexistent/file.txt"]) == 2
+
+
+@pytest.mark.parametrize("data, offset", [
+    (b"\xff\xfe3\x00 \x001\x00\n\x00", 0),
+    (b"3 1\n0 1\n\xc3(", 8),
+])
+def test_cli_undecodable_file(tmp_path, capsys, data, offset):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(data)
+    assert run_cli(["approx", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: byte {offset}: not valid UTF-8")
 
 
 def test_cli_exact_cap(tmp_path, capsys):
@@ -233,3 +468,21 @@ def test_bench_cli_rejects_unknown_algorithm(tmp_path, capsys):
     code, err = _run_bench_config(tmp_path, capsys, json.dumps(cfg))
     assert code == 2
     assert err.startswith("error: unknown bench algorithms: ['thm9']")
+
+
+@pytest.mark.parametrize("field, value, what", [
+    ("model", 3, "a string"),
+    ("params", [10], "an object"),
+    ("count", "3", "an integer"),
+    ("count", True, "an integer"),
+    ("seed", 1.5, "an integer"),
+    ("algorithms", "thm1", "a list of strings"),
+    ("algorithms", ["thm1", 2], "a list of strings"),
+    ("oracle", "yes", "true or false"),
+    ("output", 5, "a string or null"),
+])
+def test_bench_cli_rejects_wrong_field_type(tmp_path, capsys, field, value, what):
+    cfg = {"model": "gnm_connected", "params": {"n": 6, "m": 7}, "count": 1, "seed": 1, field: value}
+    code, err = _run_bench_config(tmp_path, capsys, json.dumps(cfg))
+    assert code == 2
+    assert err.startswith(f"error: bench config field {field!r} must be {what}, got {value!r}")

@@ -22,7 +22,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .graph import Graph, GraphError
+from .graph import Graph, GraphError, build_graph
 
 # ``str.splitlines`` also breaks lines at these; text holding any of them is
 # tokenised line by line, so a comment must not swallow one.
@@ -41,13 +41,7 @@ class ParseError(GraphError):
 def parse_edge_list(text: str) -> Graph:
     rows = _read_plain(text)
     g = None if rows is None else _build(rows)
-    if g is None:
-        rows = _scan(text)
-        # every line is clean, so only the vertex count can stop the build
-        if rows[0][0] > _MAX_KEYED_N:
-            raise MemoryError(f"n={rows[0][0]} vertices are too many to index the edges")
-        g = _build(np.array(rows, dtype=np.int64))
-    return g
+    return _scan(text) if g is None else g
 
 
 def _read_plain(text: str) -> np.ndarray | None:
@@ -76,16 +70,15 @@ def _build(rows: np.ndarray) -> Graph | None:
 
     Returns None if the header is bad, the edge count differs from it, an
     edge is out of range, a self-loop or a duplicate, or n is above
-    ``_MAX_KEYED_N``.
+    ``_MAX_KEYED_N``. Every check runs before anything n long is allocated.
     """
     n, m = rows[0].tolist()
     if n < 1 or len(rows) - 1 != m or n > _MAX_KEYED_N:
         return None
     pairs = rows[1:]
     pairs.sort(axis=1)
-    # also the range check: an endpoint >= n lengthens the counts
-    degree = np.bincount(pairs.ravel(), minlength=n)
-    if len(degree) > n:
+    lo, hi = pairs.T.tolist()
+    if max(hi, default=0) >= n:
         return None
     # one key per arc, u*n + v and v*n + u; sorted, they are the adjacency
     # lists end to end, and a self-loop or a duplicate edge repeats a key
@@ -93,15 +86,15 @@ def _build(rows: np.ndarray) -> Graph | None:
     arcs.sort()
     if np.count_nonzero(arcs[1:] == arcs[:-1]):
         return None
+    degree = np.bincount(pairs.ravel(), minlength=n)
     ends = list(accumulate(degree.tolist()))
     nbrs = tuple((arcs % n).tolist())
     adjacency = tuple(map(nbrs.__getitem__, map(slice, [0] + ends, ends)))
-    lo, hi = pairs.T.tolist()
     return Graph(n, tuple(zip(lo, hi)), adjacency)
 
 
-def _scan(text: str) -> list[tuple[int, int]]:
-    """Check ``text`` line by line; returns the header and edge rows.
+def _scan(text: str) -> Graph:
+    """Parse ``text`` line by line.
 
     Raises :class:`ParseError` naming the first offending line in file
     order; a count mismatch is reported only when every line is clean.
@@ -140,7 +133,7 @@ def _scan(text: str) -> list[tuple[int, int]]:
         raise ParseError("line 1: missing 'n m' header")
     if len(edges) != m:
         raise ParseError(f"header declares m={m} edges but {len(edges)} were listed")
-    return [header, *edges]
+    return build_graph(n, edges)
 
 
 def write_edge_list(g: Graph) -> str:

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -139,6 +140,12 @@ CORNER_CASES = [
     "3 1\n0 \uff12\n",
     "3 1\n-1 2\n",
     "-3 1\n0 1\n",
+    "3 1\n0 1000000000000\n",
+    "3 1\n0 9000000000000000000\n",
+    "3 1\n9000000000000000000 0\n",
+    "2000000000 1\n0 0\n",
+    "2000000000 2\n0 1\n1 0\n",
+    "3037000500 1\n0 0\n",
     "3 1\n0 " + NINES + "\n",
     "3 1\n0 -" + NINES + "\n",
     "3 " + NINES + "\n0 1\n",
@@ -192,6 +199,8 @@ PLAIN_SEPARATORS = [" ", " ", "\t", "  \t"]
 SEPARATORS = PLAIN_SEPARATORS + ["\u3000", "\xa0", "\x1f"]
 PLAIN_LINE_ENDS = ["\n"] * 4 + ["\r\n", "\r"]
 LINE_ENDS = PLAIN_LINE_ENDS + ["\x0c", "\x0b", "\x1c", "\x85", "\u2028"]
+# out of range, but within int64
+HUGE = [str(10**12), str(9 * 10**18)]
 JUNK = ["x", "-1", "+2", "1_0", "\u0663", "1.0", NINES, "-" + NINES, "# c", "1#"]
 
 
@@ -208,7 +217,7 @@ def edge_list_texts(draw):
         row = draw(st.integers(1, len(lines)))
         if kind in ("junk", "range") and row < len(lines) and lines[row]:
             col = draw(st.integers(0, len(lines[row]) - 1))
-            bad = draw(st.sampled_from(JUNK)) if kind == "junk" else str(n + draw(st.integers(0, 2)))
+            bad = draw(st.sampled_from(JUNK if kind == "junk" else [str(n), str(n + 1), str(n + 2)] + HUGE))
             lines[row][col] = bad
         elif kind == "loop":
             v = str(draw(st.integers(0, n - 1)))
@@ -264,13 +273,23 @@ def test_first_offending_line_wins(text, message):
     assert outcome(reference_parse, text) == ("error", message)
 
 
-def test_parse_rejects_n_beyond_64_bit_edge_keys():
-    # accepted input narrows here: the reference went on to allocate n
-    # adjacency lists, which no machine holds at this size
-    with pytest.raises(MemoryError, match="too many"):
-        parse_edge_list("3037000500 0\n")
-    with pytest.raises(ParseError, match="line 2: self-loop"):
-        parse_edge_list("3037000500 1\n0 0\n")
+@pytest.mark.parametrize("text", [
+    "3 1\n0 1000000000000\n",
+    "3 1\n0 9000000000000000000\n",
+    "2000000000 1\n0 0\n",
+    "2000000000 2\n0 1\n1 0\n",
+])
+def test_rejected_file_allocates_nothing_to_scale(text):
+    # neither the largest endpoint nor the header n sizes an allocation
+    # before every check has passed
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError):
+            parse_edge_list(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_round_trip_canonical(k4):

@@ -4,18 +4,24 @@ Each case hashes ``json.dumps(result.to_json_dict(), indent=2)`` for one
 driver on a seeded ``gnm_connected(10, m, seed)`` instance. Together the
 cases take every ``method`` branch of thm2 and thm3, so a change to any cut,
 witness, bound or tag shows up as a hash mismatch. A sweep digest covers
-many more seeded instances, and the CLI case covers the split-and-combine
-output of a disconnected file.
+many more seeded instances, the scale cases pin thousand-vertex graphs,
+where the decomposition sweep and the merge take long paths, and the CLI
+cases pin ``approx``'s standard output, standard error and exit code for
+every algorithm on disconnected files (split and combine) and on a
+connected file that thm3 rejects.
 """
 
+import functools
 import hashlib
 import json
+import random
 
 import pytest
 
 from sparsecut import (
     build_graph,
     gnm_connected,
+    random_subcubic,
     thm1_approx,
     thm2_approx,
     thm3_approx,
@@ -82,6 +88,25 @@ THM3_METHODS = {
 SWEEP_RESULTS = 1220
 SWEEP_SHA256 = "97164d9bfb2e792b579afcaa3d9403be47f653d97cb8e1fd20642c763ee2e649"
 
+# (family, n, m, seed, driver) -> sha256 of the indented JSON result
+SCALE_GOLDEN = {
+    ("gnm", 3000, 6000, 0, "thm1"): "03d56fa52a1453f022e8bcfb6a47514f90bddf0e53c333e26da70216dff62ffa",
+    ("gnm", 3000, 6000, 0, "thm3"): "20f721a628eafe96d00d88783b00c9078eec7dff8424af39a9298f677886d0c6",
+    ("gnm", 3000, 6000, 1, "thm1"): "c6e990dc32526d812cdddb7c2986a17c821f720a248f6928a3b982652b9460ba",
+    ("gnm", 3000, 6000, 1, "thm3"): "0ad6ca028707881900e339007b3a1e4a588ffdb62d06365c57fdb553e51ea4ff",
+    ("gnm", 3000, 6000, 2, "thm1"): "81c79fcb48583e93b217257c57debb68de668219e8b9cd4839a77d4151ad70b9",
+    ("gnm", 3000, 6000, 2, "thm3"): "4d1d6ddb6c3943ed6fb74efeb37ec2adceb4bacfc84dc36a9db0610eb59104a5",
+    ("subcubic", 3000, None, 0, "thm1"): "76c0bf6e31e37fa56e15c20035936937f59ae314804e06c8b59c2625e72ad509",
+    ("subcubic", 3000, None, 0, "thm3"): "7c19f5f90648dd152e5ec13c1a5c33714d1c76b6c08b9388b427f31f10040c10",
+    ("subcubic", 3000, None, 1, "thm1"): "6084c4efca883c948a5ae5dbfb7859b8b5ca3f077c455e94c8f943c8cd831343",
+    ("subcubic", 3000, None, 1, "thm3"): "5b793dff6a264983586c144925b188f8cabca18a3a01583ad20bcd7ac39e365c",
+    ("subcubic", 3000, None, 2, "thm1"): "f82187f11fb117b86f4d890acc25d7817a863516e69665e93d5726fba8aa4d59",
+    ("subcubic", 3000, None, 2, "thm3"): "05699af6d74b3606b23d4fb2b60ca4105a3054998d2c8fe6cdd3a760e98df848",
+    ("gnm", 2000, 6000, 0, "thm2"): "382418dbdd1f539ea95938c55bedcd04d70d64819f1dd260f43cb0109528cff8",
+    ("gnm", 2000, 6000, 1, "thm2"): "7cd7db9beafe5fdb5c18cdf06a73e9c3e93df32a366d7bdd4a1f8ac4df6dac7d",
+    ("gnm", 2000, 6000, 2, "thm2"): "0d81be72fd649ecc897518d0196b90f41a414f50a987fa51202fdec6c1a3d24a",
+}
+
 CLI_AUTO_SHA256 = "b1a53ecc56d03477def7110723d22935e079e37026a1e42790d9b444715c1dbd"
 
 
@@ -119,6 +144,19 @@ def test_golden_sweep_digest():
     assert h.hexdigest() == SWEEP_SHA256
 
 
+@functools.lru_cache(maxsize=None)
+def _scale_graph(family, n, m, seed):
+    # gnm_connected rejection-samples for seconds at this size; build each once
+    return gnm_connected(n, m, seed) if family == "gnm" else random_subcubic(n, seed)
+
+
+@pytest.mark.parametrize("family,n,m,seed,driver", sorted(SCALE_GOLDEN, key=str), ids=lambda v: str(v))
+def test_golden_result_at_scale(family, n, m, seed, driver):
+    g = _scale_graph(family, n, m, seed)
+    digest = hashlib.sha256(_json_text(DRIVERS[driver](g))).hexdigest()
+    assert digest == SCALE_GOLDEN[(family, n, m, seed, driver)]
+
+
 def _disconnected_graph():
     """Five seeded components of different sizes, a triangle and an isolated vertex."""
     edges = []
@@ -138,3 +176,82 @@ def test_golden_cli_auto_disconnected(tmp_path, capsys):
     out = capsys.readouterr().out
     assert json.loads(out)["components"] == 7
     assert hashlib.sha256(out.encode()).hexdigest() == CLI_AUTO_SHA256
+
+
+def _union(parts, extra_vertices=0, shuffle_seed=None):
+    """Disjoint union of ``parts`` plus isolated vertices, optionally relabelled."""
+    edges = []
+    offset = 0
+    for g in parts:
+        edges += [(u + offset, v + offset) for u, v in g.edges]
+        offset += g.n
+    n = offset + extra_vertices
+    label = list(range(n))
+    if shuffle_seed is not None:
+        random.Random(shuffle_seed).shuffle(label)
+    return build_graph(n, [(label[u], label[v]) for u, v in edges])
+
+
+def _complete(n):
+    return build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+
+
+# disconnected inputs, and one connected input that thm3 rejects
+CLI_FILES = {
+    "k6": lambda: _complete(6),
+    "parts": lambda: _disconnected_graph(),
+    "k6_isolated": lambda: _union([_complete(6)], extra_vertices=1),
+    "k6_sparse": lambda: _union([_complete(6)], extra_vertices=20),
+    "isolated_only": lambda: build_graph(3, []),
+    "mixed_shuffled": lambda: _union(
+        [random_subcubic(40, 5), gnm_connected(9, 12, 6), _complete(3), _complete(4),
+         gnm_connected(6, 5, 7), random_subcubic(12, 8)],
+        extra_vertices=2,
+        shuffle_seed=11,
+    ),
+}
+
+# (file, argv tail) -> (exit code, sha256 of stdout, stderr)
+CLI_GOLDEN = {
+    ('isolated_only', ('--algo', 'auto')): (0, "479be575ac2072bdb8e62ec049de6850497d8c5ad92e6679ba9ffc9cfa6f2bb1", ''),
+    ('isolated_only', ('--algo', 'auto', '--effort', 'fast')): (0, "479be575ac2072bdb8e62ec049de6850497d8c5ad92e6679ba9ffc9cfa6f2bb1", ''),
+    ('isolated_only', ('--algo', 'thm1')): (0, "f67e1880a8d01e3fde1c0fb60d7c98b2de0e945472a5947911436f925024c9be", ''),
+    ('isolated_only', ('--algo', 'thm2')): (0, "0223df14cc1b837f2d460c7a3b32b9dca4f5e24a80005d07eabe3f92406dd544", ''),
+    ('isolated_only', ('--algo', 'thm3')): (0, "479be575ac2072bdb8e62ec049de6850497d8c5ad92e6679ba9ffc9cfa6f2bb1", ''),
+    ('k6', ('--algo', 'auto')): (0, "6a7d0f30db35d5300987d133908fbced68af0aeb792fe63a148411981d7b1899", ''),
+    ('k6', ('--algo', 'auto', '--effort', 'fast')): (0, "7c6208b99996b357a26eca2b1d6cbc9a7ddb66ba6021f90f9a858a3bd1decf20", ''),
+    ('k6', ('--algo', 'thm1')): (0, "7c6208b99996b357a26eca2b1d6cbc9a7ddb66ba6021f90f9a858a3bd1decf20", ''),
+    ('k6', ('--algo', 'thm2')): (0, "6a7d0f30db35d5300987d133908fbced68af0aeb792fe63a148411981d7b1899", ''),
+    ('k6', ('--algo', 'thm3')): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 'error: m=15 exceeds 2n=12: use thm2\n'),
+    ('k6_isolated', ('--algo', 'auto')): (0, "0535ed96a8d37c453b2d2bb718458ad4aeb351dff122cd3734369695889d5f40", ''),
+    ('k6_isolated', ('--algo', 'auto', '--effort', 'fast')): (0, "64ea8918b909a2df3e26bbaf914624a6fa438afc10a1eaab3dc74076ff2004ce", ''),
+    ('k6_isolated', ('--algo', 'thm1')): (0, "7f2685bc2afc12029630599650082c117f30b2caa6b101543ea8c961b288b038", ''),
+    ('k6_isolated', ('--algo', 'thm2')): (0, "0535ed96a8d37c453b2d2bb718458ad4aeb351dff122cd3734369695889d5f40", ''),
+    ('k6_isolated', ('--algo', 'thm3')): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 'error: m=15 exceeds 2n=12: use thm2\n'),
+    ('k6_sparse', ('--algo', 'auto')): (0, "5c020924366a4ddad6d66954eca76d88650444bab7e3097cccd5c77692dfd4e0", ''),
+    ('k6_sparse', ('--algo', 'auto', '--effort', 'fast')): (0, "a8f73d64c1d786de3e014871d5669256b79024c3d816a81deecf8cde67a7d836", ''),
+    ('k6_sparse', ('--algo', 'thm1')): (0, "788de6895a080e14b65801cc4a948a8cf80c0d684051c278eb6a32f7de2b53a5", ''),
+    ('k6_sparse', ('--algo', 'thm2')): (0, "5c020924366a4ddad6d66954eca76d88650444bab7e3097cccd5c77692dfd4e0", ''),
+    ('k6_sparse', ('--algo', 'thm3')): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 'error: m=15 exceeds 2n=12: use thm2\n'),
+    ('mixed_shuffled', ('--algo', 'auto')): (0, "19710fbe78735633cf59adf5080a6ff19862999d0a0d3c5fbcd9c99559d7f9b5", ''),
+    ('mixed_shuffled', ('--algo', 'auto', '--effort', 'fast')): (0, "19710fbe78735633cf59adf5080a6ff19862999d0a0d3c5fbcd9c99559d7f9b5", ''),
+    ('mixed_shuffled', ('--algo', 'thm1')): (0, "a0a316b8d8d2ba00fc5f4b18605cfbaf2608cc5114e85de3cc0c8be02cf9b130", ''),
+    ('mixed_shuffled', ('--algo', 'thm2')): (0, "6ae721335ba2e68dc895037a5769db15c2d2f87c56617c842bf1f0cacd7dafa6", ''),
+    ('mixed_shuffled', ('--algo', 'thm3')): (0, "19710fbe78735633cf59adf5080a6ff19862999d0a0d3c5fbcd9c99559d7f9b5", ''),
+    ('parts', ('--algo', 'auto')): (0, "b1a53ecc56d03477def7110723d22935e079e37026a1e42790d9b444715c1dbd", ''),
+    ('parts', ('--algo', 'auto', '--effort', 'fast')): (0, "cafa839b482d30f54d1bde2fa4896673de294032654468c42d7f30e3f544486a", ''),
+    ('parts', ('--algo', 'thm1')): (0, "2a652182d701a5fe4bf92dce5a9f342614afcf8feeffd18e20d39fb09d7d1357", ''),
+    ('parts', ('--algo', 'thm2')): (0, "80d41e47db0adfa104067069446f534b0a9725529967565468b9108b5a20f18c", ''),
+    ('parts', ('--algo', 'thm3')): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 'error: m=25 exceeds 2n=20: use thm2\n'),
+}
+
+
+@pytest.mark.parametrize("name,algo", sorted(CLI_GOLDEN), ids=lambda v: str(v))
+def test_golden_cli_approx(tmp_path, capsys, name, algo):
+    path = tmp_path / f"{name}.txt"
+    path.write_text(write_edge_list(CLI_FILES[name]()))
+    argv = ["approx", str(path)] + list(algo)
+    code = run_cli(argv)
+    captured = capsys.readouterr()
+    got = (code, hashlib.sha256(captured.out.encode()).hexdigest(), captured.err)
+    assert got == CLI_GOLDEN[(name, algo)]

@@ -2,7 +2,9 @@
 
 Disconnected inputs to ``approx`` and ``exact`` are split into connected
 components, solved per component and recombined (no edge crosses
-components, so sizes and certificates simply add).
+components, so sizes and certificates simply add). ``approx`` first tries
+the whole graph and splits only when that fails, so a connected input is
+not traversed a second time to find its components.
 """
 
 from __future__ import annotations
@@ -106,16 +108,17 @@ def _combine_results(g: Graph, parts: list[tuple[ApproxResult, tuple[int, ...]]]
 def _cmd_approx(args) -> int:
     g = _read_graph(args.file)
     fn = _ALGOS[args.algo]
-    parts = []
-    for sub, ids in _split(g):
-        if args.algo == "auto":
-            parts.append((fn(sub, effort=args.effort), ids))
-        else:
-            parts.append((fn(sub), ids))
-    if len(parts) == 1:
-        out = parts[0][0].to_json_dict()
-    else:
-        out = _combine_results(g, parts)
+    kwargs = {"effort": args.effort} if args.algo == "auto" else {}
+    # every driver raises on a disconnected graph, at its DFS or at an
+    # earlier check, so a connected input is solved in one traversal and
+    # only a failed one is split and solved per component
+    try:
+        out = fn(g, **kwargs).to_json_dict()
+    except GraphError:
+        parts = _split(g)
+        if len(parts) == 1:
+            raise
+        out = _combine_results(g, [(fn(sub, **kwargs), ids) for sub, ids in parts])
     json.dump(out, sys.stdout, indent=2)
     sys.stdout.write("\n")
     return 0

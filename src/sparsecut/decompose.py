@@ -15,6 +15,7 @@ one edge to a later piece, which is what the greedy merge relies on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Optional
 
 from .graph import Graph, GraphError, OddCycleWitness, dfs_tree
@@ -79,133 +80,106 @@ class Decomposition:
         return {"components": [c.to_json_dict() for c in self.components]}
 
 
-def _find(uf: list[int], v: int) -> int:
-    # path halving
-    while uf[v] != v:
-        uf[v] = uf[uf[v]]
-        v = uf[v]
-    return v
-
-
 def tree_bipartite_decompose(g: Graph) -> Decomposition:
     """Decompose a connected graph into IOC trees / CB graphs / tree tail.
 
     Deterministic: DFS from vertex 0 with ascending neighbor order; when
     several child subtrees of the swept vertex trigger, they are emitted in
-    ascending child order. Runs in near-linear time (union-find mapping
-    each back edge endpoint to its current child subtree).
+    ascending child order. Runs in linear time: one pass in preorder files
+    each back edge under the child subtree that holds its lower end, and the
+    sweep does work only at vertices that a back edge reaches from below.
     """
     n = g.n
     t = dfs_tree(g, 0)
-    pre = t.preorder
     depth = t.depth
     order = t.order
-    parent = t.parent
+    pre = t.preorder
     adj = g.adjacency
 
-    size = [1] * n
-    for v in reversed(order[1:]):
-        size[parent[v]] += size[v]  # type: ignore[index]
+    # below[r] lists c, w flat for each back edge r-w with w under r, where c
+    # is the child of r whose subtree holds w. Every non-tree edge joins a
+    # vertex to an ancestor at least two levels up; filing in preorder lists
+    # each vertex's pairs in ascending preorder of c.
+    below: list[Optional[list[int]]] = [None] * n
+    path = [0] * n  # path[d]: the ancestor at depth d of the vertex being filed
+    for w in order:
+        dw = depth[w]
+        path[dw] = w
+        above = dw - 1
+        for r in adj[w]:
+            dr = depth[r]
+            if dr < above:
+                pairs = below[r]
+                if pairs is None:
+                    below[r] = [path[dr + 1], w]
+                else:
+                    pairs += path[dr + 1], w
 
-    # live doubly-linked list over preorder ranks; rank n is the end sentinel
-    nxt = list(range(1, n + 1))
-    prv = list(range(-1, n))
+    # nxt chains the preorder ranks; once a subtree is removed, the rank of
+    # its top points one past its last rank, so later walks skip it whole
     alive = [True] * n
-
-    uf = list(range(n))
-    uf_size = [1] * n
-    uf_top = list(range(n))  # shallowest live vertex of the set
-
-    components: list[Component] = []
+    nxt = list(range(1, n + 1))
 
     def remove_subtree(top: int) -> list[int]:
         lo = pre[top]
-        hi = lo + size[top]
-        members = []
-        r = lo
-        while r < hi:
+        d = depth[top]
+        alive[top] = False
+        members = [top]
+        r = nxt[lo]
+        while r < n:
             v = order[r]
-            members.append(v)
-            alive[v] = False
+            if depth[v] <= d:
+                break
+            if alive[v]:
+                alive[v] = False
+                members.append(v)
             r = nxt[r]
-        p = prv[lo]
-        if p >= 0:
-            nxt[p] = r
-        if r <= n:
-            prv[r] = p
+        nxt[lo] = r
+        members.sort()
         return members
 
-    pre_get = pre.__getitem__
+    components: list[Component] = []
     for rank in range(n - 1, -1, -1):
         r = order[rank]
-        if not alive[r]:
+        pairs = below[r]
+        if pairs is None or not alive[r]:
             continue
-        pr = pre[r]
-        hi = pr + size[r]
+        # a child subtree with one edge from r changes nothing; the live
+        # child c and the live lower ends under it form its group
         groups: dict[int, list[int]] = {}
-        for w in adj[r]:
-            pw = pre[w]
-            if pr < pw < hi and alive[w]:
-                # find with path halving, inlined for the hot path
-                x = w
-                while uf[x] != x:
-                    uf[x] = uf[uf[x]]
-                    x = uf[x]
-                c = uf_top[x]
-                bucket = groups.get(c)
-                if bucket is None:
-                    groups[c] = [w]
+        it = iter(pairs)
+        for c, w in zip(it, it):
+            if alive[w]:
+                ws = groups.get(c)
+                if ws is None:
+                    groups[c] = [c, w]
                 else:
-                    bucket.append(w)
-        survivors = []
+                    ws.append(w)
         cycle_left = False
-        for c in sorted(groups, key=pre_get):
-            ws = groups[c]
-            if len(ws) == 1:
-                survivors.append(c)
-                continue
-            first: dict[int, int] = {}
-            pair: Optional[tuple[int, int]] = None
-            for w in ws:
-                p = depth[w] & 1
-                other = first.get(1 - p)
-                if other is not None:
-                    pair = (other, w)
-                    break
-                if p not in first:
-                    first[p] = w
-            if pair is not None:
-                a, b = pair
-                members = remove_subtree(c)
-                members.sort()
-                components.append(
-                    Component(
-                        KIND_IOC_TREE,
-                        tuple(members),
-                        roots=(r,),
-                        root_edges=((r, a), (r, b)),
+        for c, ws in groups.items():
+            # the smallest member and the smallest one at the other depth
+            # parity close an odd cycle through r
+            ws.sort()
+            a = ws[0]
+            pa = depth[a] & 1
+            for b in ws:
+                if depth[b] & 1 != pa:
+                    members = remove_subtree(c)
+                    components.append(
+                        Component(
+                            KIND_IOC_TREE,
+                            tuple(members),
+                            roots=(r,),
+                            root_edges=((r, a), (r, b)),
+                        )
                     )
-                )
+                    break
             else:
                 cycle_left = True
-                survivors.append(c)
         if cycle_left:
-            members = remove_subtree(r)
-            members.sort()
-            components.append(Component(KIND_CB_GRAPH, tuple(members)))
-        else:
-            for c in survivors:
-                ra = _find(uf, r)
-                rc = _find(uf, c)
-                if ra == rc:
-                    continue
-                if uf_size[ra] < uf_size[rc]:
-                    ra, rc = rc, ra
-                uf[rc] = ra
-                uf_size[ra] += uf_size[rc]
-                uf_top[ra] = r
+            components.append(Component(KIND_CB_GRAPH, tuple(remove_subtree(r))))
 
-    remaining = [v for v in range(n) if alive[v]]
+    remaining = list(compress(range(n), alive))
     if remaining:
         components.append(Component(KIND_TREE, tuple(remaining)))
     return Decomposition(tuple(components))

@@ -1,7 +1,7 @@
 """Certificate-carrying drivers built on top of the decomposition merge.
 
 ``thm1_approx`` (in :mod:`.maxcut`) certifies 1/2 + (n-1)/(2m) in
-near-linear time. ``thm2_approx`` improves the certificate to
+linear time. ``thm2_approx`` improves the certificate to
 1/2 + n/(2m) by eliminating the tree tail: it folds trailing components
 into the tail while the union stays even-cycle-free, then either the tail
 union is solved exactly (seeding the merge with a maximum cut of the

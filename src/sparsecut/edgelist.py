@@ -22,7 +22,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .graph import Graph, GraphError, build_graph
+from .graph import Graph, GraphError, build_graph, gc_paused
 
 # ``str.splitlines`` also breaks lines at these; text holding any of them is
 # tokenised line by line, so a comment must not swallow one.
@@ -89,8 +89,9 @@ def _build(rows: np.ndarray) -> Graph | None:
     degree = np.bincount(pairs.ravel(), minlength=n)
     ends = list(accumulate(degree.tolist()))
     nbrs = tuple((arcs % n).tolist())
-    adjacency = tuple(map(nbrs.__getitem__, map(slice, [0] + ends, ends)))
-    return Graph(n, tuple(zip(lo, hi)), adjacency)
+    with gc_paused():
+        adjacency = tuple(map(nbrs.__getitem__, map(slice, [0] + ends, ends)))
+        return Graph(n, tuple(zip(lo, hi)), adjacency)
 
 
 def _scan(text: str) -> Graph:

@@ -7,6 +7,7 @@ traversal in the package is reproducible.
 
 from __future__ import annotations
 
+import gc
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
@@ -51,6 +52,25 @@ class Graph:
         return i < len(nbrs) and nbrs[i] == v
 
 
+class gc_paused:
+    """Context manager that pauses cyclic garbage collection.
+
+    A graph is built from one tuple per edge and per vertex, none of which
+    can form a reference cycle, yet every 700 new tuples set off a
+    collection that scans them. On exit the caller's gc state is restored.
+    """
+
+    __slots__ = ("enabled",)
+
+    def __enter__(self) -> None:
+        self.enabled = gc.isenabled()
+        gc.disable()
+
+    def __exit__(self, *exc) -> None:
+        if self.enabled:
+            gc.enable()
+
+
 def build_graph(n: int, edge_list: Sequence[tuple[int, int]]) -> Graph:
     """Validate and build a :class:`Graph`.
 
@@ -59,25 +79,26 @@ def build_graph(n: int, edge_list: Sequence[tuple[int, int]]) -> Graph:
     """
     if n < 1:
         raise GraphError(f"vertex count must be positive, got {n}")
-    seen = set()
-    edges = []
-    adj = [[] for _ in range(n)]
-    for pair in edge_list:
-        u, v = pair
-        if not (0 <= u < n and 0 <= v < n):
-            raise GraphError(f"edge ({u}, {v}) out of range for n={n}")
-        if u == v:
-            raise GraphError(f"self-loop ({u}, {v}) is not allowed")
-        a, b = (u, v) if u < v else (v, u)
-        if (a, b) in seen:
-            raise GraphError(f"duplicate edge ({u}, {v})")
-        seen.add((a, b))
-        edges.append((a, b))
-        adj[a].append(b)
-        adj[b].append(a)
-    for lst in adj:
-        lst.sort()
-    return Graph(n, tuple(edges), tuple(tuple(lst) for lst in adj))
+    with gc_paused():
+        seen = set()
+        edges = []
+        adj = [[] for _ in range(n)]
+        for pair in edge_list:
+            u, v = pair
+            if not (0 <= u < n and 0 <= v < n):
+                raise GraphError(f"edge ({u}, {v}) out of range for n={n}")
+            if u == v:
+                raise GraphError(f"self-loop ({u}, {v}) is not allowed")
+            a, b = (u, v) if u < v else (v, u)
+            if (a, b) in seen:
+                raise GraphError(f"duplicate edge ({u}, {v})")
+            seen.add((a, b))
+            edges.append((a, b))
+            adj[a].append(b)
+            adj[b].append(a)
+        for lst in adj:
+            lst.sort()
+        return Graph(n, tuple(edges), tuple(tuple(lst) for lst in adj))
 
 
 @dataclass(frozen=True)
@@ -328,7 +349,12 @@ def induced_subgraph(g: Graph, vertices: Sequence[int]) -> tuple[Graph, tuple[in
 
 
 def _biconnected_blocks(g: Graph) -> list[list[tuple[int, int]]]:
-    """Edge lists of the biconnected blocks (standard low-link pass, iterative)."""
+    """Edge lists of the biconnected blocks of a connected graph.
+
+    Standard low-link pass, iterative, from vertex 0. Raises
+    :class:`DisconnectedError` naming an unreached vertex, as
+    :func:`dfs_tree` does, if the graph is not connected.
+    """
     n = g.n
     adj = g.adjacency
     disc = [-1] * n
@@ -337,43 +363,41 @@ def _biconnected_blocks(g: Graph) -> list[list[tuple[int, int]]]:
     cursor = [0] * n
     edge_stack: list[tuple[int, int]] = []
     blocks: list[list[tuple[int, int]]] = []
-    timer = 0
-    for s in range(n):
-        if disc[s] != -1:
-            continue
-        disc[s] = low[s] = timer
-        timer += 1
-        stack = [s]
-        while stack:
-            v = stack[-1]
-            nbrs = adj[v]
-            if cursor[v] < len(nbrs):
-                w = nbrs[cursor[v]]
-                cursor[v] += 1
-                if disc[w] == -1:
-                    parent[w] = v
-                    disc[w] = low[w] = timer
-                    timer += 1
-                    edge_stack.append((v, w))
-                    stack.append(w)
-                elif w != parent[v] and disc[w] < disc[v]:
-                    edge_stack.append((v, w))
-                    if disc[w] < low[v]:
-                        low[v] = disc[w]
-            else:
-                stack.pop()
-                if stack:
-                    u = stack[-1]
-                    if low[v] < low[u]:
-                        low[u] = low[v]
-                    if low[v] >= disc[u]:
-                        blk = []
-                        while True:
-                            e = edge_stack.pop()
-                            blk.append(e)
-                            if e == (u, v):
-                                break
-                        blocks.append(blk)
+    disc[0] = low[0] = 0
+    timer = 1
+    stack = [0]
+    while stack:
+        v = stack[-1]
+        nbrs = adj[v]
+        if cursor[v] < len(nbrs):
+            w = nbrs[cursor[v]]
+            cursor[v] += 1
+            if disc[w] == -1:
+                parent[w] = v
+                disc[w] = low[w] = timer
+                timer += 1
+                edge_stack.append((v, w))
+                stack.append(w)
+            elif w != parent[v] and disc[w] < disc[v]:
+                edge_stack.append((v, w))
+                if disc[w] < low[v]:
+                    low[v] = disc[w]
+        else:
+            stack.pop()
+            if stack:
+                u = stack[-1]
+                if low[v] < low[u]:
+                    low[u] = low[v]
+                if low[v] >= disc[u]:
+                    blk = []
+                    while True:
+                        e = edge_stack.pop()
+                        blk.append(e)
+                        if e == (u, v):
+                            break
+                    blocks.append(blk)
+    if timer < n:
+        raise DisconnectedError(f"graph is not connected: vertex {disc.index(-1)} unreachable from 0")
     if edge_stack:
         raise AssertionError("block search left edges unassigned")
     return blocks
@@ -516,9 +540,9 @@ def is_even_cycle_free(
     Returns the tuple of its odd cycles (pairwise edge-disjoint, exactly
     m - n + 1 of them) when there is none, and an :class:`EvenCycleWitness`
     otherwise. A graph is even-cycle-free iff every biconnected block is a
-    single edge or an odd cycle.
+    single edge or an odd cycle. Raises :class:`DisconnectedError` if the
+    graph is not connected.
     """
-    dfs_tree(g, 0)  # connectivity check
     odd: list[OddCycleWitness] = []
     for blk in _biconnected_blocks(g):
         if len(blk) == 1:

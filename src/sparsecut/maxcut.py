@@ -93,12 +93,61 @@ def component_edge_counts(g: Graph, d: Decomposition) -> list[int]:
 
 def cb_surplus(g: Graph, d: Decomposition) -> int:
     """Total |E(H)| - |V(H)| over the CB components."""
-    counts = component_edge_counts(g, d)
+    return _cb_surplus(d, component_edge_counts(g, d))
+
+
+def _cb_surplus(d: Decomposition, counts: Sequence[int]) -> int:
     return sum(
         counts[i] - len(comp.vertices)
         for i, comp in enumerate(d.components)
         if comp.kind == KIND_CB_GRAPH
     )
+
+
+def _color_piece(
+    g: Graph, idx: Sequence[int], i: int, comp: Component, side: list[Optional[int]]
+) -> tuple[list[int], int, int, int]:
+    """Breadth-first 2-colouring of piece ``i``, the vertices v with idx[v] == i.
+
+    Colours ``comp`` into ``side`` from its smallest vertex on SIDE_A and
+    raises if the induced subgraph violates the component's kind. Returns
+    the piece's vertices in visiting order, its induced edge count, and the
+    edges to placed vertices (idx[w] > i) that the colouring cuts (keep)
+    and leaves uncut (flip).
+    """
+    adj = g.adjacency
+    anchor = min(comp.vertices)
+    side[anchor] = SIDE_A
+    queue = [anchor]
+    internal = keep = flip = 0
+    for v in queue:
+        sv = side[v]
+        for w in adj[v]:
+            iw = idx[w]
+            if iw == i:
+                sw = side[w]
+                if sw is None:
+                    side[w] = sv ^ 1
+                    queue.append(w)
+                elif sw == sv:
+                    if comp.kind == KIND_CB_GRAPH:
+                        raise GraphError("CB component's induced subgraph is not bipartite")
+                    raise GraphError("tree component's induced subgraph contains a cycle")
+                if w > v:
+                    internal += 1
+            elif iw > i:
+                if side[w] == sv:
+                    flip += 1
+                else:
+                    keep += 1
+    size = len(comp.vertices)
+    if len(queue) != size:
+        raise GraphError("component's induced subgraph is disconnected")
+    if comp.kind in (KIND_TREE, KIND_IOC_TREE) and internal != size - 1:
+        raise GraphError("tree component's induced subgraph contains a cycle")
+    if comp.kind == KIND_CB_GRAPH and internal < size:
+        raise GraphError("CB component's induced subgraph has no cycle")
+    return queue, internal, keep, flip
 
 
 def component_max_cut(g: Graph, comp: Component) -> dict[int, int]:
@@ -109,40 +158,19 @@ def component_max_cut(g: Graph, comp: Component) -> dict[int, int]:
     pieces are bipartite. Raises if the induced subgraph violates the
     component's kind.
     """
-    verts = set(comp.vertices)
-    anchor = min(comp.vertices)
-    side = {anchor: SIDE_A}
-    queue = [anchor]
-    qi = 0
-    edge_count = 0
-    while qi < len(queue):
-        v = queue[qi]
-        qi += 1
-        for w in g.adjacency[v]:
-            if w not in verts:
-                continue
-            if w > v:
-                edge_count += 1
-            if w not in side:
-                side[w] = side[v] ^ 1
-                queue.append(w)
-            elif side[w] == side[v]:
-                if comp.kind == KIND_CB_GRAPH:
-                    raise GraphError("CB component's induced subgraph is not bipartite")
-                raise GraphError("tree component's induced subgraph contains a cycle")
-    if len(side) != len(verts):
-        raise GraphError("component's induced subgraph is disconnected")
-    if comp.kind in (KIND_TREE, KIND_IOC_TREE) and edge_count != len(verts) - 1:
-        raise GraphError("tree component's induced subgraph contains a cycle")
-    if comp.kind == KIND_CB_GRAPH and edge_count < len(verts):
-        raise GraphError("CB component's induced subgraph has no cycle")
-    return side
+    idx = [-1] * g.n
+    for v in comp.vertices:
+        idx[v] = 0
+    side: list[Optional[int]] = [None] * g.n
+    queue = _color_piece(g, idx, 0, comp, side)[0]
+    return {v: side[v] for v in queue}  # type: ignore[misc]
 
 
 def greedy_merge(
     g: Graph,
     d: Decomposition | Sequence[Component],
     seed: Optional[Mapping[int, int]] = None,
+    edge_counts: Optional[list[int]] = None,
 ) -> Cut:
     """Merge the components' optimal cuts, last component first.
 
@@ -150,47 +178,41 @@ def greedy_merge(
     maximum cut of the tail is already known); the listed components must
     cover exactly the remaining vertices. Ties in the orientation test
     flip the component, matching the construction the certificates assume.
+    ``edge_counts``, if given, receives each listed component's induced
+    edge count, in component order. One breadth-first pass per component
+    colours it, checks its kind and counts its votes.
     """
     components = d.components if isinstance(d, Decomposition) else tuple(d)
     n = g.n
-    adj = g.adjacency
+    t = len(components)
     side: list[Optional[int]] = [None] * n
+    idx = [-1] * n
     size = 0
     if seed:
         for v, s in seed.items():
             side[v] = s
+            idx[v] = t
         for u, v in g.edges:
             su, sv = side[u], side[v]
             if su is not None and sv is not None and su != sv:
                 size += 1
-    for i in range(len(components) - 1, -1, -1):
-        comp = components[i]
-        csides = component_max_cut(g, comp)
-        keep = flip = internal = 0
+    for i, comp in enumerate(components):
         for v in comp.vertices:
-            cv = csides[v]
-            for w in adj[v]:
-                if w in csides:
-                    if w > v:
-                        internal += 1
-                else:
-                    sw = side[w]
-                    if sw is None:
-                        continue
-                    if cv == sw:
-                        flip += 1
-                    else:
-                        keep += 1
+            idx[v] = i
+    counts = [0] * t
+    for i in range(t - 1, -1, -1):
+        queue, internal, keep, flip = _color_piece(g, idx, i, components[i], side)
+        counts[i] = internal
         if flip >= keep:
-            for v in comp.vertices:
-                side[v] = csides[v] ^ 1
+            for v in queue:
+                side[v] ^= 1  # type: ignore[operator]
             size += internal + flip
         else:
-            for v in comp.vertices:
-                side[v] = csides[v]
             size += internal + keep
-    if any(s is None for s in side):
+    if None in side:
         raise GraphError("merge did not assign every vertex")
+    if edge_counts is not None:
+        edge_counts[:] = counts
     return Cut(n, tuple(side), size)  # type: ignore[arg-type]
 
 
@@ -236,17 +258,18 @@ def thm1_approx(g: Graph) -> ApproxResult:
     The cut keeps every within-component edge and at least half of the
     rest, so its size is at least (m + n + c - x - 1)/2 with a tree tail
     and (m + n + c - x)/2 with a CB tail; the x odd-cycle witnesses bound
-    the maximum cut by m - x. Runs in near-linear time.
+    the maximum cut by m - x. Runs in linear time.
     """
     d = tree_bipartite_decompose(g)
     return thm1_from_decomposition(g, d)
 
 
 def thm1_from_decomposition(g: Graph, d: Decomposition) -> ApproxResult:
-    cut = greedy_merge(g, d)
+    counts: list[int] = []
+    cut = greedy_merge(g, d, edge_counts=counts)
     witnesses = odd_cycle_certificates(g, d)
     x = len(witnesses)
-    c = cb_surplus(g, d)
+    c = _cb_surplus(d, counts)
     tail_is_tree = d.components[-1].kind == KIND_TREE
     lower = Fraction(g.m + g.n + c - x - (1 if tail_is_tree else 0), 2)
     upper = g.m - x

@@ -2,14 +2,17 @@ import csv
 import io
 import json
 import random
+import sys
 import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import sparsecut.graph
 from sparsecut import (
     ParseError,
     build_graph,
+    gnm_connected,
     parse_edge_list,
     write_edge_list,
 )
@@ -363,6 +366,45 @@ def test_cli_disconnected_split(tmp_path, capsys):
     assert data["cut_size"] == 4  # each triangle cuts 2
     code, data = run_json(capsys, ["exact", path])
     assert data["mc"] == 4
+
+
+def count_calls(monkeypatch, name):
+    """Count calls of the ``sparsecut.graph`` function ``name`` from every module."""
+    orig = getattr(sparsecut.graph, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return orig(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("sparsecut") and getattr(mod, name, None) is orig:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("algo", ["thm1", "thm2", "thm3", "auto"])
+def test_cli_approx_traverses_connected_input_once(tmp_path, capsys, monkeypatch, algo):
+    g = gnm_connected(60, 100, 3)
+    path = write_graph(tmp_path, "g.txt", g)
+    components = count_calls(monkeypatch, "connected_components")
+    dfs = count_calls(monkeypatch, "dfs_tree")
+    code, data = run_json(capsys, ["approx", path, "--algo", algo])
+    assert code == 0 and data["n"] == 60 and "components" not in data
+    assert data["method"] != "spanning_tree_exact"  # that branch takes a second DFS
+    assert len(components) == 0
+    # the tail cases also search subgraphs of the input; only one DFS
+    # covers the whole graph
+    assert sum(args[0].n == g.n for args in dfs) == 1
+
+
+def test_cli_approx_splits_disconnected_input_once(tmp_path, capsys, monkeypatch):
+    g = build_graph(7, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6), (6, 3)])
+    path = write_graph(tmp_path, "two.txt", g)
+    components = count_calls(monkeypatch, "connected_components")
+    code, data = run_json(capsys, ["approx", path, "--algo", "thm1"])
+    assert code == 0 and data["components"] == 2
+    assert len(components) == 1
 
 
 def test_cli_error_exit(tmp_path, capsys):

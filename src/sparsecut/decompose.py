@@ -15,7 +15,6 @@ one edge to a later piece, which is what the greedy merge relies on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import compress
 from typing import Optional
 
 from .graph import Graph, GraphError, OddCycleWitness, dfs_tree
@@ -25,6 +24,9 @@ KIND_CB_GRAPH = "cb_graph"
 KIND_TREE = "tree"
 
 _KINDS = (KIND_IOC_TREE, KIND_CB_GRAPH, KIND_TREE)
+
+# kind, roots and root edges of a piece the sweep has removed
+_PieceSpec = tuple[str, tuple[int, ...], tuple[tuple[int, int], ...]]
 
 
 @dataclass(frozen=True)
@@ -115,41 +117,40 @@ def tree_bipartite_decompose(g: Graph) -> Decomposition:
                 else:
                     pairs += path[dr + 1], w
 
+    # piece[v] is the index of v's component once v is removed, -1 before.
     # nxt chains the preorder ranks; once a subtree is removed, the rank of
-    # its top points one past its last rank, so later walks skip it whole
-    alive = [True] * n
+    # its top points one past its last rank, so later walks skip it whole.
+    piece = [-1] * n
     nxt = list(range(1, n + 1))
+    specs: list[_PieceSpec] = []
 
-    def remove_subtree(top: int) -> list[int]:
+    def remove_subtree(top: int, spec: _PieceSpec) -> None:
+        p = len(specs)
+        specs.append(spec)
         lo = pre[top]
         d = depth[top]
-        alive[top] = False
-        members = [top]
+        piece[top] = p
         r = nxt[lo]
         while r < n:
             v = order[r]
             if depth[v] <= d:
                 break
-            if alive[v]:
-                alive[v] = False
-                members.append(v)
+            if piece[v] < 0:
+                piece[v] = p
             r = nxt[r]
         nxt[lo] = r
-        members.sort()
-        return members
 
-    components: list[Component] = []
     for rank in range(n - 1, -1, -1):
         r = order[rank]
         pairs = below[r]
-        if pairs is None or not alive[r]:
+        if pairs is None or piece[r] >= 0:
             continue
         # a child subtree with one edge from r changes nothing; the live
         # child c and the live lower ends under it form its group
         groups: dict[int, list[int]] = {}
         it = iter(pairs)
         for c, w in zip(it, it):
-            if alive[w]:
+            if piece[w] < 0:
                 ws = groups.get(c)
                 if ws is None:
                     groups[c] = [c, w]
@@ -159,27 +160,25 @@ def tree_bipartite_decompose(g: Graph) -> Decomposition:
         for c, ws in groups.items():
             # the smallest member and the smallest one at the other depth
             # parity close an odd cycle through r
-            ws.sort()
-            a = ws[0]
+            a = min(ws)
             pa = depth[a] & 1
-            for b in ws:
-                if depth[b] & 1 != pa:
-                    members = remove_subtree(c)
-                    components.append(
-                        Component(
-                            KIND_IOC_TREE,
-                            tuple(members),
-                            roots=(r,),
-                            root_edges=((r, a), (r, b)),
-                        )
-                    )
-                    break
+            odd = [b for b in ws if depth[b] & 1 != pa]
+            if odd:
+                remove_subtree(c, (KIND_IOC_TREE, (r,), ((r, a), (r, min(odd)))))
             else:
                 cycle_left = True
         if cycle_left:
-            components.append(Component(KIND_CB_GRAPH, tuple(remove_subtree(r))))
+            remove_subtree(r, (KIND_CB_GRAPH, (), ()))
 
-    remaining = list(compress(range(n), alive))
+    # one pass in vertex order lists every piece's vertices sorted
+    members: list[list[int]] = [[] for _ in specs]
+    remaining = []
+    for v, p in enumerate(piece):
+        (members[p] if p >= 0 else remaining).append(v)
+    components = [
+        Component(kind, tuple(vs), roots=roots, root_edges=root_edges)
+        for (kind, roots, root_edges), vs in zip(specs, members)
+    ]
     if remaining:
         components.append(Component(KIND_TREE, tuple(remaining)))
     return Decomposition(tuple(components))

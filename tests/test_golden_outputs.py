@@ -11,7 +11,6 @@ every algorithm on disconnected files (split and combine) and on a
 connected file that thm3 rejects.
 """
 
-import functools
 import hashlib
 import json
 import random
@@ -88,23 +87,41 @@ THM3_METHODS = {
 SWEEP_RESULTS = 1220
 SWEEP_SHA256 = "97164d9bfb2e792b579afcaa3d9403be47f653d97cb8e1fd20642c763ee2e649"
 
-# (family, n, m, seed, driver) -> sha256 of the indented JSON result
+# (family, n, m, seed) -> {driver: sha256 of the indented JSON result}
 SCALE_GOLDEN = {
-    ("gnm", 3000, 6000, 0, "thm1"): "03d56fa52a1453f022e8bcfb6a47514f90bddf0e53c333e26da70216dff62ffa",
-    ("gnm", 3000, 6000, 0, "thm3"): "20f721a628eafe96d00d88783b00c9078eec7dff8424af39a9298f677886d0c6",
-    ("gnm", 3000, 6000, 1, "thm1"): "c6e990dc32526d812cdddb7c2986a17c821f720a248f6928a3b982652b9460ba",
-    ("gnm", 3000, 6000, 1, "thm3"): "0ad6ca028707881900e339007b3a1e4a588ffdb62d06365c57fdb553e51ea4ff",
-    ("gnm", 3000, 6000, 2, "thm1"): "81c79fcb48583e93b217257c57debb68de668219e8b9cd4839a77d4151ad70b9",
-    ("gnm", 3000, 6000, 2, "thm3"): "4d1d6ddb6c3943ed6fb74efeb37ec2adceb4bacfc84dc36a9db0610eb59104a5",
-    ("subcubic", 3000, None, 0, "thm1"): "76c0bf6e31e37fa56e15c20035936937f59ae314804e06c8b59c2625e72ad509",
-    ("subcubic", 3000, None, 0, "thm3"): "7c19f5f90648dd152e5ec13c1a5c33714d1c76b6c08b9388b427f31f10040c10",
-    ("subcubic", 3000, None, 1, "thm1"): "6084c4efca883c948a5ae5dbfb7859b8b5ca3f077c455e94c8f943c8cd831343",
-    ("subcubic", 3000, None, 1, "thm3"): "5b793dff6a264983586c144925b188f8cabca18a3a01583ad20bcd7ac39e365c",
-    ("subcubic", 3000, None, 2, "thm1"): "f82187f11fb117b86f4d890acc25d7817a863516e69665e93d5726fba8aa4d59",
-    ("subcubic", 3000, None, 2, "thm3"): "05699af6d74b3606b23d4fb2b60ca4105a3054998d2c8fe6cdd3a760e98df848",
-    ("gnm", 2000, 6000, 0, "thm2"): "382418dbdd1f539ea95938c55bedcd04d70d64819f1dd260f43cb0109528cff8",
-    ("gnm", 2000, 6000, 1, "thm2"): "7cd7db9beafe5fdb5c18cdf06a73e9c3e93df32a366d7bdd4a1f8ac4df6dac7d",
-    ("gnm", 2000, 6000, 2, "thm2"): "0d81be72fd649ecc897518d0196b90f41a414f50a987fa51202fdec6c1a3d24a",
+    ("gnm", 3000, 6000, 0): {
+        "thm1": "03d56fa52a1453f022e8bcfb6a47514f90bddf0e53c333e26da70216dff62ffa",
+        "thm3": "20f721a628eafe96d00d88783b00c9078eec7dff8424af39a9298f677886d0c6",
+    },
+    ("gnm", 3000, 6000, 1): {
+        "thm1": "c6e990dc32526d812cdddb7c2986a17c821f720a248f6928a3b982652b9460ba",
+        "thm3": "0ad6ca028707881900e339007b3a1e4a588ffdb62d06365c57fdb553e51ea4ff",
+    },
+    ("gnm", 3000, 6000, 2): {
+        "thm1": "81c79fcb48583e93b217257c57debb68de668219e8b9cd4839a77d4151ad70b9",
+        "thm3": "4d1d6ddb6c3943ed6fb74efeb37ec2adceb4bacfc84dc36a9db0610eb59104a5",
+    },
+    ("subcubic", 3000, None, 0): {
+        "thm1": "76c0bf6e31e37fa56e15c20035936937f59ae314804e06c8b59c2625e72ad509",
+        "thm3": "7c19f5f90648dd152e5ec13c1a5c33714d1c76b6c08b9388b427f31f10040c10",
+    },
+    ("subcubic", 3000, None, 1): {
+        "thm1": "6084c4efca883c948a5ae5dbfb7859b8b5ca3f077c455e94c8f943c8cd831343",
+        "thm3": "5b793dff6a264983586c144925b188f8cabca18a3a01583ad20bcd7ac39e365c",
+    },
+    ("subcubic", 3000, None, 2): {
+        "thm1": "f82187f11fb117b86f4d890acc25d7817a863516e69665e93d5726fba8aa4d59",
+        "thm3": "05699af6d74b3606b23d4fb2b60ca4105a3054998d2c8fe6cdd3a760e98df848",
+    },
+    ("gnm", 2000, 6000, 0): {
+        "thm2": "382418dbdd1f539ea95938c55bedcd04d70d64819f1dd260f43cb0109528cff8",
+    },
+    ("gnm", 2000, 6000, 1): {
+        "thm2": "7cd7db9beafe5fdb5c18cdf06a73e9c3e93df32a366d7bdd4a1f8ac4df6dac7d",
+    },
+    ("gnm", 2000, 6000, 2): {
+        "thm2": "0d81be72fd649ecc897518d0196b90f41a414f50a987fa51202fdec6c1a3d24a",
+    },
 }
 
 CLI_AUTO_SHA256 = "b1a53ecc56d03477def7110723d22935e079e37026a1e42790d9b444715c1dbd"
@@ -144,17 +161,11 @@ def test_golden_sweep_digest():
     assert h.hexdigest() == SWEEP_SHA256
 
 
-@functools.lru_cache(maxsize=None)
-def _scale_graph(family, n, m, seed):
-    # gnm_connected rejection-samples for seconds at this size; build each once
-    return gnm_connected(n, m, seed) if family == "gnm" else random_subcubic(n, seed)
-
-
-@pytest.mark.parametrize("family,n,m,seed,driver", sorted(SCALE_GOLDEN, key=str), ids=lambda v: str(v))
-def test_golden_result_at_scale(family, n, m, seed, driver):
-    g = _scale_graph(family, n, m, seed)
-    digest = hashlib.sha256(_json_text(DRIVERS[driver](g))).hexdigest()
-    assert digest == SCALE_GOLDEN[(family, n, m, seed, driver)]
+@pytest.mark.parametrize("family,n,m,seed", list(SCALE_GOLDEN), ids=lambda v: str(v))
+def test_golden_result_at_scale(family, n, m, seed):
+    g = gnm_connected(n, m, seed) if family == "gnm" else random_subcubic(n, seed)
+    for driver, digest in SCALE_GOLDEN[(family, n, m, seed)].items():
+        assert hashlib.sha256(_json_text(DRIVERS[driver](g))).hexdigest() == digest, driver
 
 
 def _disconnected_graph():

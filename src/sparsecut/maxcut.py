@@ -170,6 +170,7 @@ def greedy_merge(
     g: Graph,
     d: Decomposition | Sequence[Component],
     seed: Optional[Mapping[int, int]] = None,
+    *,
     edge_counts: Optional[list[int]] = None,
 ) -> Cut:
     """Merge the components' optimal cuts, last component first.

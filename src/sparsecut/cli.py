@@ -22,7 +22,7 @@ from .decompose import tree_bipartite_decompose, validate_decomposition
 from .drivers import auto_approx, thm2_approx, thm3_approx
 from .edgelist import ParseError, parse_edge_list
 from .generators import generate, instance_seed
-from .graph import Graph, GraphError, connected_components, induced_subgraph
+from .graph import Graph, GraphError, connected_components, gc_paused, induced_subgraph
 from .maxcut import ApproxResult, thm1_approx
 from .oracle import OracleCapError, exact_max_cut
 
@@ -48,6 +48,43 @@ def _frac(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
+def _write_json(obj, stream) -> None:
+    """Write ``json.dumps(obj, indent=2)`` and a newline, byte for byte.
+
+    With ``indent`` set, :mod:`json` falls back to its pure-Python encoder,
+    one call per value. Here a list of plain ints is one join, containers
+    recurse, and only the other scalars go through :func:`json.dumps`.
+    Object keys must be strings.
+    """
+    stream.write(_indented(obj, "\n"))
+    stream.write("\n")
+
+
+def _indented(obj, nl: str) -> str:
+    # nl is a newline plus the indent of the line that closes obj
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = nl + "  "
+        # bools are ints too, but print as true and false
+        if set(map(type, obj)) == {int}:
+            body = map(str, obj)
+        else:
+            body = [_indented(v, inner) for v in obj]
+        return f"[{inner}{(',' + inner).join(body)}{nl}]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = nl + "  "
+        items = []
+        for k, v in obj.items():
+            if not isinstance(k, str):
+                raise TypeError(f"JSON object keys must be strings here, got {k!r}")
+            items.append(f"{json.dumps(k)}: {_indented(v, inner)}")
+        return f"{{{inner}{(',' + inner).join(items)}{nl}}}"
+    return json.dumps(obj)
+
+
 def _split(g: Graph) -> list[tuple[Graph, tuple[int, ...]]]:
     comps = connected_components(g)
     if len(comps) == 1:
@@ -66,8 +103,7 @@ def _cmd_decompose(args) -> int:
             comp["roots"] = [ids[v] for v in comp["roots"]]
             comp["root_edges"] = [[ids[u], ids[v]] for u, v in comp["root_edges"]]
         out["decompositions"].append(entry)
-    json.dump(out, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    _write_json(out, sys.stdout)
     return 0
 
 
@@ -106,21 +142,23 @@ def _combine_results(g: Graph, parts: list[tuple[ApproxResult, tuple[int, ...]]]
 
 
 def _cmd_approx(args) -> int:
-    g = _read_graph(args.file)
-    fn = _ALGOS[args.algo]
-    kwargs = {"effort": args.effort} if args.algo == "auto" else {}
-    # every driver raises on a disconnected graph, at its DFS or at an
-    # earlier check, so a connected input is solved in one traversal and
-    # only a failed one is split and solved per component
-    try:
-        out = fn(g, **kwargs).to_json_dict()
-    except GraphError:
-        parts = _split(g)
-        if len(parts) == 1:
-            raise
-        out = _combine_results(g, [(fn(sub, **kwargs), ids) for sub, ids in parts])
-    json.dump(out, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    # none of the objects a run makes can form a reference cycle, so cyclic
+    # gc would only rescan them; the caller's gc state comes back on exit
+    with gc_paused():
+        g = _read_graph(args.file)
+        fn = _ALGOS[args.algo]
+        kwargs = {"effort": args.effort} if args.algo == "auto" else {}
+        # every driver raises on a disconnected graph, at its DFS or at an
+        # earlier check, so a connected input is solved in one traversal and
+        # only a failed one is split and solved per component
+        try:
+            out = fn(g, **kwargs).to_json_dict()
+        except GraphError:
+            parts = _split(g)
+            if len(parts) == 1:
+                raise
+            out = _combine_results(g, [(fn(sub, **kwargs), ids) for sub, ids in parts])
+        _write_json(out, sys.stdout)
     return 0
 
 
@@ -133,8 +171,7 @@ def _cmd_exact(args) -> int:
         total += cut.size
         for v in range(sub.n):
             sides[ids[v]] = cut.side[v]
-    json.dump({"n": g.n, "m": g.m, "mc": total, "sides": sides}, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    _write_json({"n": g.n, "m": g.m, "mc": total, "sides": sides}, sys.stdout)
     return 0
 
 
@@ -147,8 +184,7 @@ def _cmd_validate(args) -> int:
         rep = validate_decomposition(sub, d)
         ok = ok and rep.ok
         reports.append(rep.to_json_dict())
-    json.dump({"ok": ok, "reports": reports}, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    _write_json({"ok": ok, "reports": reports}, sys.stdout)
     return 0 if ok else 1
 
 

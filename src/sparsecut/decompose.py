@@ -10,6 +10,9 @@ subtree, the remaining cycles through r are all even and r's whole subtree
 is emitted as a connected bipartite piece with a cycle ("CB graph").
 Whatever survives the sweep is a tree. Every emitted piece keeps at least
 one edge to a later piece, which is what the greedy merge relies on.
+
+The adjacency is walked once, by the DFS: it hands each vertex's back edges
+from below to the sweep already grouped by child subtree.
 """
 
 from __future__ import annotations
@@ -87,35 +90,17 @@ def tree_bipartite_decompose(g: Graph) -> Decomposition:
 
     Deterministic: DFS from vertex 0 with ascending neighbor order; when
     several child subtrees of the swept vertex trigger, they are emitted in
-    ascending child order. Runs in linear time: one pass in preorder files
-    each back edge under the child subtree that holds its lower end, and the
-    sweep does work only at vertices that a back edge reaches from below.
+    ascending child order. Runs in linear time and walks the adjacency
+    once, inside :func:`dfs_tree`, which files each back edge under the
+    child subtree that holds its lower end; the sweep reads those pairs and
+    does work only at vertices that a back edge reaches from below.
     """
     n = g.n
     t = dfs_tree(g, 0)
     depth = t.depth
     order = t.order
     pre = t.preorder
-    adj = g.adjacency
-
-    # below[r] lists c, w flat for each back edge r-w with w under r, where c
-    # is the child of r whose subtree holds w. Every non-tree edge joins a
-    # vertex to an ancestor at least two levels up; filing in preorder lists
-    # each vertex's pairs in ascending preorder of c.
-    below: list[Optional[list[int]]] = [None] * n
-    path = [0] * n  # path[d]: the ancestor at depth d of the vertex being filed
-    for w in order:
-        dw = depth[w]
-        path[dw] = w
-        above = dw - 1
-        for r in adj[w]:
-            dr = depth[r]
-            if dr < above:
-                pairs = below[r]
-                if pairs is None:
-                    below[r] = [path[dr + 1], w]
-                else:
-                    pairs += path[dr + 1], w
+    below = t.below
 
     # piece[v] is the index of v's component once v is removed, -1 before.
     # nxt chains the preorder ranks; once a subtree is removed, the rank of

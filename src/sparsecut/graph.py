@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import gc
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 SIDE_A = 0
@@ -141,50 +141,82 @@ def cut_size(g: Graph, cut: Cut) -> int:
 
 @dataclass(frozen=True)
 class DfsTree:
-    """Deterministic DFS tree: neighbors explored in ascending index order."""
+    """Deterministic DFS tree: neighbors explored in ascending index order.
+
+    ``below[r]`` files the back edges that reach r from under it, or is
+    None when there are none: flat pairs c, w, one per edge r-w, where c is
+    the child of r whose subtree holds w. The pairs of one child are
+    contiguous and the children come in preorder; within one child the
+    pairs are in the order the DFS met their edges. ``below`` takes no part
+    in comparison or hashing.
+    """
 
     root: int
     parent: tuple[Optional[int], ...]
     preorder: tuple[int, ...]
     depth: tuple[int, ...]
     order: tuple[int, ...]  # vertices sorted by preorder rank
+    below: tuple[Optional[list[int]], ...] = field(compare=False, repr=False)
 
 
 def dfs_tree(g: Graph, root: int = 0) -> DfsTree:
-    """Depth-first search tree of a connected graph.
+    """Depth-first search tree of a connected graph, with its back edges filed.
 
-    Raises :class:`DisconnectedError` naming an unreached vertex if the
-    graph is not connected.
+    Every non-tree edge of an undirected DFS joins a vertex to an ancestor,
+    so when v's scan meets a visited w more than one level above it, w is a
+    proper ancestor and the edge is filed under w, beside the vertex on the
+    DFS stack one level below w. Raises :class:`DisconnectedError` naming
+    an unreached vertex if the graph is not connected.
     """
     n = g.n
     adj = g.adjacency
     parent: list[Optional[int]] = [None] * n
     pre = [-1] * n
-    depth = [0] * n
+    depth = [-1] * n
+    below: list[Optional[list[int]]] = [None] * n
     pre[root] = 0
+    depth[root] = 0
     order = [root]
     counter = 1
-    v_stack = [root]
-    it_stack = [iter(adj[root])]
-    while v_stack:
-        w = next(it_stack[-1], -1)
-        if w < 0:
-            v_stack.pop()
-            it_stack.pop()
-            continue
-        if pre[w] < 0:
-            v = v_stack[-1]
-            parent[w] = v
-            depth[w] = depth[v] + 1
-            pre[w] = counter
-            counter += 1
-            order.append(w)
-            v_stack.append(w)
-            it_stack.append(iter(adj[w]))
+    # v is the vertex under scan, at depth dv; path[d] is the vertex at depth
+    # d on the tree path to v, and its[d] the paused iterator of path[d]
+    path = [root]
+    its = []
+    v = root
+    dv = 0
+    it = iter(adj[root])
+    while True:
+        for w in it:
+            dw = depth[w]
+            if dw < 0:
+                parent[w] = v
+                pre[w] = counter
+                counter += 1
+                order.append(w)
+                path.append(w)
+                its.append(it)
+                v = w
+                dv += 1
+                depth[w] = dv
+                it = iter(adj[w])
+                break
+            if dw < dv - 1:
+                pairs = below[w]
+                if pairs is None:
+                    below[w] = [path[dw + 1], v]
+                else:
+                    pairs += path[dw + 1], v
+        else:
+            path.pop()
+            if not path:
+                break
+            v = path[-1]
+            dv -= 1
+            it = its.pop()
     if counter < n:
         missing = pre.index(-1)
         raise DisconnectedError(f"graph is not connected: vertex {missing} unreachable from {root}")
-    return DfsTree(root, tuple(parent), tuple(pre), tuple(depth), tuple(order))
+    return DfsTree(root, tuple(parent), tuple(pre), tuple(depth), tuple(order), tuple(below))
 
 
 @dataclass(frozen=True)
@@ -336,16 +368,21 @@ def subgraph_from_edges(
 
 
 def induced_subgraph(g: Graph, vertices: Sequence[int]) -> tuple[Graph, tuple[int, ...]]:
-    """Induced subgraph on ``vertices``, relabeled to 0..k-1."""
+    """Induced subgraph on ``vertices``, relabeled to 0..k-1.
+
+    Built straight from ``g``'s adjacency, with no second validation:
+    relabelling by sorted id keeps every list sorted, and the edges come in
+    the order :func:`build_graph` would give them.
+    """
     ids = tuple(sorted(set(vertices)))
+    if not ids:
+        raise GraphError("vertex count must be positive, got 0")
     index = {v: i for i, v in enumerate(ids)}
-    sub_edges = []
-    for v in ids:
-        iv = index[v]
-        for w in g.adjacency[v]:
-            if w > v and w in index:
-                sub_edges.append((iv, index[w]))
-    return build_graph(len(ids), sub_edges), ids
+    adj = g.adjacency
+    with gc_paused():
+        sub_adj = tuple([tuple([index[w] for w in adj[v] if w in index]) for v in ids])
+        edges = tuple([(i, j) for i, nbrs in enumerate(sub_adj) for j in nbrs if j > i])
+        return Graph(len(ids), edges, sub_adj), ids
 
 
 def _biconnected_blocks(g: Graph) -> list[list[tuple[int, int]]]:

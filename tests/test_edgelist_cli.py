@@ -1,4 +1,5 @@
 import csv
+import gc
 import io
 import json
 import random
@@ -16,7 +17,7 @@ from sparsecut import (
     parse_edge_list,
     write_edge_list,
 )
-from sparsecut.cli import BenchConfig, run_bench, run_cli
+from sparsecut.cli import _ALGOS, BenchConfig, _write_json, run_bench, run_cli
 from sparsecut.edgelist import _read_plain
 from tests.conftest import random_connected_graph
 
@@ -407,6 +408,33 @@ def test_cli_approx_splits_disconnected_input_once(tmp_path, capsys, monkeypatch
     assert len(components) == 1
 
 
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc_on", "gc_off"])
+@pytest.mark.parametrize("text, code", [
+    ("4 3\n0 1\n1 2\n2 3\n", 0),
+    ("2 1\n0 0\n", 2),
+], ids=["solved", "parse_error"])
+def test_cli_approx_pauses_gc_and_restores_it(tmp_path, capsys, monkeypatch, enabled, text, code):
+    path = tmp_path / "g.txt"
+    path.write_text(text)
+    seen = []
+
+    def thm1(g):
+        seen.append(gc.isenabled())
+        return orig(g)
+
+    orig = _ALGOS["thm1"]
+    monkeypatch.setitem(_ALGOS, "thm1", thm1)
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        assert run_cli(["approx", str(path), "--algo", "thm1"]) == code
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == ([False] if code == 0 else [])
+    capsys.readouterr()
+
+
 def test_cli_error_exit(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("2 1\n0 0\n")
@@ -431,6 +459,44 @@ def test_cli_exact_cap(tmp_path, capsys):
     path = write_graph(tmp_path, "big.txt", g)
     assert run_cli(["exact", path]) == 2
     assert "too large" in capsys.readouterr().err
+
+
+json_strings = st.one_of(
+    st.text(),
+    st.sampled_from(['', '"', '\\', 'a"b\\c', '\x00\x1f\n\t\x7f', 'é ✓ 𝄞 \u2028', '\ud800']),
+)
+json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(-10**30, 10**30),
+    st.floats(),
+    json_strings,
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.one_of(
+        st.lists(inner),
+        st.lists(inner).map(tuple),
+        st.lists(st.integers(-10**30, 10**30)),
+        st.lists(st.one_of(st.integers(-10**30, 10**30), st.booleans())),
+        st.dictionaries(json_strings, inner),
+    ),
+    max_leaves=40,
+)
+
+
+@given(json_values)
+@settings(max_examples=400)
+def test_write_json_matches_indented_dumps(obj):
+    buf = io.StringIO()
+    _write_json(obj, buf)
+    assert buf.getvalue() == json.dumps(obj, indent=2) + "\n"
+
+
+def test_write_json_rejects_non_string_keys():
+    with pytest.raises(TypeError, match="keys must be strings"):
+        _write_json({"a": {1: 2}}, io.StringIO())
 
 
 # ------------------------------------------------------------------------ bench

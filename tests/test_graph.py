@@ -12,12 +12,15 @@ from sparsecut import (
     cut_size,
     dfs_tree,
     exact_max_cut,
+    induced_subgraph,
     is_even_cycle_free,
     spanning_tree_cut,
     two_color,
 )
+from sparsecut.graph import subgraph_from_edges
 from tests.conftest import random_connected_graph
 
+import dataclasses
 import random
 
 
@@ -88,6 +91,14 @@ def test_dfs_invariants(seed, n, extra):
         assert g.has_edge(p, v)
         assert t.depth[v] == t.depth[p] + 1
         assert t.preorder[p] < t.preorder[v]
+
+
+def test_dfs_filing_takes_no_part_in_equality(k4):
+    t = dfs_tree(k4, 0)
+    assert any(t.below)
+    bare = dataclasses.replace(t, below=(None,) * k4.n)
+    assert bare == t and hash(bare) == hash(t)
+    assert "below" not in repr(t)
 
 
 # ------------------------------------------------------------------ two_color
@@ -259,3 +270,20 @@ def test_spanning_tree_cut_exact_on_odd_cacti(seed, n):
 def test_components_split():
     g = build_graph(5, [(0, 1), (3, 2)])
     assert connected_components(g) == [[0, 1], [2, 3], [4]]
+
+
+# ------------------------------------------------------------ induced_subgraph
+
+@given(st.integers(0, 10_000), st.integers(1, 14), st.integers(0, 10), st.data())
+def test_induced_subgraph_matches_a_rebuild(seed, n, extra, data):
+    rng = random.Random(seed)
+    g = random_connected_graph(rng, n, n - 1 + extra)
+    vertices = data.draw(st.lists(st.integers(0, n - 1), min_size=1))
+    inside = set(vertices)
+    edges = sorted(e for e in g.edges if e[0] in inside and e[1] in inside)
+    assert induced_subgraph(g, vertices) == subgraph_from_edges(vertices, edges)
+
+
+def test_induced_subgraph_rejects_empty_vertex_set(k3):
+    with pytest.raises(GraphError, match="^vertex count must be positive, got 0$"):
+        induced_subgraph(k3, [])

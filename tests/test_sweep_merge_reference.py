@@ -3,10 +3,12 @@
 ``reference_decompose`` is the union-find sweep and ``reference_merge`` the
 per-component merge (``component_max_cut`` on each piece, then the votes),
 as they stood before the sweep dropped its union-find and the merge its
-per-piece sets and dicts. Both are kept here unchanged apart from their
-names, so that every decomposition, cut and per-piece induced edge count of
-the library can be compared with them, as ``reference_parse`` does for the
-edge-list parser.
+per-piece sets and dicts. ``reference_filing`` is the preorder pass that
+filed each back edge under its child subtree before ``dfs_tree`` did so
+while it walks. All three are kept here unchanged apart from their names,
+so that every decomposition, back-edge filing, cut and per-piece induced
+edge count of the library can be compared with them, as
+``reference_parse`` does for the edge-list parser.
 """
 
 import random
@@ -161,6 +163,44 @@ def reference_decompose(g) -> Decomposition:
     return Decomposition(tuple(components))
 
 
+def reference_filing(g, t) -> list[Optional[list[int]]]:
+    """Back edges filed in preorder, as flat c, w pairs under their upper end."""
+    n = g.n
+    depth = t.depth
+    adj = g.adjacency
+    below: list[Optional[list[int]]] = [None] * n
+    path = [0] * n  # path[d]: the ancestor at depth d of the vertex being filed
+    for w in t.order:
+        dw = depth[w]
+        path[dw] = w
+        above = dw - 1
+        for r in adj[w]:
+            dr = depth[r]
+            if dr < above:
+                pairs = below[r]
+                if pairs is None:
+                    below[r] = [path[dr + 1], w]
+                else:
+                    pairs += path[dr + 1], w
+    return below
+
+
+def child_groups(pairs: Optional[list[int]]) -> list[tuple[int, list[int]]]:
+    """Each run of one child c in a flat c, w list, with its members sorted.
+
+    The sweep reads a child's lower ends as one group and takes only their
+    minima, so the runs, their order and their member sets are what it sees.
+    """
+    runs: list[tuple[int, list[int]]] = []
+    it = iter(pairs or ())
+    for c, w in zip(it, it):
+        if runs and runs[-1][0] == c:
+            runs[-1][1].append(w)
+        else:
+            runs.append((c, [w]))
+    return [(c, sorted(ws)) for c, ws in runs]
+
+
 def reference_component_max_cut(g, comp: Component) -> dict[int, int]:
     verts = set(comp.vertices)
     anchor = min(comp.vertices)
@@ -278,6 +318,8 @@ def family_graphs(draw):
 
 
 def assert_matches_reference(g):
+    t = dfs_tree(g, 0)
+    assert list(map(child_groups, t.below)) == list(map(child_groups, reference_filing(g, t)))
     d = tree_bipartite_decompose(g)
     assert d == reference_decompose(g)
     counts: list[int] = []

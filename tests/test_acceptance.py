@@ -238,6 +238,7 @@ def test_criterion_9_classical_floor(gnm_family, subcubic_family, maxdeg4_family
             f"instances, {violations} violations")
 
 
+@pytest.mark.slow
 def test_criterion_7_runtime_scaling():
     rng = random.Random(SEED + 7)
     sizes = [100_000, 200_000, 400_000, 800_000]

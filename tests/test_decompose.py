@@ -214,6 +214,91 @@ def test_validator_flags_bad_root_placement(k3):
     assert any("strictly later" in v for v in rep.violations)
 
 
+_K3 = [(0, 1), (1, 2), (2, 0)]
+_C4 = [(0, 1), (1, 2), (2, 3), (3, 0)]
+_P3 = [(0, 1), (1, 2)]
+
+# case -> (n, edges, components, the full violation list)
+VIOLATION_CASES = {
+    "no_components": (3, _K3, (), ["decomposition has no components"]),
+    "last_is_ioc": (
+        3, _P3,
+        (Component(KIND_IOC_TREE, (0, 1, 2), roots=(1,), root_edges=((1, 0), (1, 2))),),
+        [
+            "component 0: last component may not be an IOC tree",
+            "component 0: root 1 is not in a strictly later component",
+            "component 0: root edges close an even cycle (attachment points at even distance)",
+        ],
+    ),
+    "empty_vertex_set": (
+        3, _P3,
+        (Component(KIND_CB_GRAPH, ()), Component(KIND_TREE, (0, 1, 2))),
+        ["component 0: empty vertex set", "component 0: no edge to any later component"],
+    ),
+    "disconnected": (
+        3, [(0, 1)],
+        (Component(KIND_TREE, (0, 1, 2)),),
+        [
+            "component 0: induced subgraph is disconnected",
+            "component 0: induced subgraph contains a cycle or is not a tree",
+        ],
+    ),
+    "cb_without_cycle": (
+        3, _P3,
+        (Component(KIND_CB_GRAPH, (0, 1)), Component(KIND_TREE, (2,))),
+        ["component 0: CB piece has no cycle (|E| < |V|)"],
+    ),
+    "cb_not_bipartite": (
+        3, _K3, (Component(KIND_CB_GRAPH, (0, 1, 2)),), ["component 0: CB piece is not bipartite"]
+    ),
+    "cb_with_roots": (
+        4, _C4,
+        (Component(KIND_CB_GRAPH, (0, 1, 2, 3), roots=(0,)),),
+        ["component 0: CB piece should not carry roots"],
+    ),
+    "tree_with_roots": (
+        3, _P3,
+        (Component(KIND_TREE, (0, 1, 2), roots=(0,)),),
+        ["component 0: tree tail should not carry roots"],
+    ),
+    "ioc_without_root": (
+        3, _K3,
+        (Component(KIND_IOC_TREE, (1, 2)), Component(KIND_TREE, (0,))),
+        ["component 0: IOC tree without a root"],
+    ),
+    "repeated_root_edge": (
+        3, _K3,
+        (Component(KIND_IOC_TREE, (1, 2), roots=(0,), root_edges=((0, 1), (0, 1))),
+         Component(KIND_TREE, (0,))),
+        ["component 0: expected two distinct root edges"],
+    ),
+    "root_edge_misses_root": (
+        3, _K3,
+        (Component(KIND_IOC_TREE, (1, 2), roots=(0,), root_edges=((0, 1), (1, 2))),
+         Component(KIND_TREE, (0,))),
+        ["component 0: root edge (1, 2) does not join the piece to its root"],
+    ),
+    "even_root_cycle": (
+        4, _C4,
+        (Component(KIND_IOC_TREE, (1, 2, 3), roots=(0,), root_edges=((0, 1), (0, 3))),
+         Component(KIND_TREE, (0,))),
+        ["component 0: root edges close an even cycle (attachment points at even distance)"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(VIOLATION_CASES))
+def test_validator_reports_each_violation(case):
+    n, edges, comps, expected = VIOLATION_CASES[case]
+    rep = validate_decomposition(build_graph(n, edges), Decomposition(comps))
+    assert rep.violations == expected
+
+
+def test_validator_flags_out_of_range_vertex(k3):
+    rep = validate_decomposition(k3, Decomposition((Component(KIND_TREE, (0, 1, -1)),)))
+    assert "component 0: vertex -1 out of range" in rep.violations
+
+
 # --------------------------------------------------------------- certificates
 
 def test_k3_certificate(k3):

@@ -8,7 +8,8 @@ many more seeded instances, the scale cases pin thousand-vertex graphs,
 where the decomposition sweep and the merge take long paths, and the CLI
 cases pin ``approx``'s standard output, standard error and exit code for
 every algorithm on disconnected files (split and combine) and on a
-connected file that thm3 rejects.
+connected file that thm3 rejects. The same files pin ``decompose``,
+``exact`` and ``validate``, which split every input into its components.
 """
 
 import hashlib
@@ -266,3 +267,37 @@ def test_golden_cli_approx(tmp_path, capsys, name, algo):
     captured = capsys.readouterr()
     got = (code, hashlib.sha256(captured.out.encode()).hexdigest(), captured.err)
     assert got == CLI_GOLDEN[(name, algo)]
+
+
+# (file, command) -> (exit code, sha256 of stdout, stderr); the oracle
+# refuses the 40-vertex component of mixed_shuffled
+CLI_COMMAND_GOLDEN = {
+    ('isolated_only', 'decompose'): (0, "86d425610ec4810a5ee58146c5dcb95d9fe4987625c7fd5e9ef10d16991baf63", ''),
+    ('k6', 'decompose'): (0, "45f5248c4452659b15fc5a0edbb6dda5815e119376db27b3440a7eb035350c02", ''),
+    ('k6_isolated', 'decompose'): (0, "a0ef8b1c64d0b30904b56795d25153be0974924136d0f679107227a188256913", ''),
+    ('k6_sparse', 'decompose'): (0, "b7260d4105fc145f0841b9d5741b498e2359180184a07f49c69a5c5ad6d9391b", ''),
+    ('mixed_shuffled', 'decompose'): (0, "8ba5bb329d2d3fe9ed4675fa89252fad0a44c4d091862782a5a2ba36870d8fde", ''),
+    ('parts', 'decompose'): (0, "0ed3496d307fe5f97a3bd766ef560978a3d2252310eb5a280d63840bbe73dea7", ''),
+    ('isolated_only', 'exact'): (0, "b0e989a15a9089febeda46104e648bd607259f5057d37532571e31bdda843a6a", ''),
+    ('k6', 'exact'): (0, "983f528874197e82fd2c67cbca9c8995f61462120bdd8339e9408273e18e78c0", ''),
+    ('k6_isolated', 'exact'): (0, "da721ad44be232905dc7695fc8656e321cf214653e1589116b68486ed1c2c56d", ''),
+    ('k6_sparse', 'exact'): (0, "8ffecc400bf9d5ff5215b30b0d242c9d73dd5ccbfd9a12e707b05cce185dd161", ''),
+    ('mixed_shuffled', 'exact'): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 'error: instance too large for oracle: n=40 > 26\n'),
+    ('parts', 'exact'): (0, "d5ef1033a3281304fa554d9771f813f1532af2f4bc4d935f8c41796278d7dd4b", ''),
+    ('isolated_only', 'validate'): (0, "869ec3451a991dab6cf0bfdd181644b32adde062174fe780e8166d3a5fb75f31", ''),
+    ('k6', 'validate'): (0, "753855d942b7849f8175922b18d87865aefad2f1e050354cc5bcebd90bcb6d7c", ''),
+    ('k6_isolated', 'validate'): (0, "665db212f4c6fd4363f7e968bf44b94031546bd29fa1f1fbb6369a5c6aa1cbb7", ''),
+    ('k6_sparse', 'validate'): (0, "d22ff08800f5205d401a0911f188c574abafa57489e7a6c62209fdbe9bd9d672", ''),
+    ('mixed_shuffled', 'validate'): (0, "a8e2b8349dd3dd4211638ce1f101e0a127dbcf1b7cacd508c657a889eae4b7a5", ''),
+    ('parts', 'validate'): (0, "28a2a561a8739de31d52fd2c9dbc2324af70675b2676b6eb969bf03b56716126", ''),
+}
+
+
+@pytest.mark.parametrize("name,command", sorted(CLI_COMMAND_GOLDEN), ids=lambda v: str(v))
+def test_golden_cli_command(tmp_path, capsys, name, command):
+    path = tmp_path / f"{name}.txt"
+    path.write_text(write_edge_list(CLI_FILES[name]()))
+    code = run_cli([command, str(path)])
+    captured = capsys.readouterr()
+    got = (code, hashlib.sha256(captured.out.encode()).hexdigest(), captured.err)
+    assert got == CLI_COMMAND_GOLDEN[(name, command)]

@@ -35,6 +35,7 @@ from .graph import (
     EvenCycleWitness,
     Graph,
     GraphError,
+    _bfs,
     is_even_cycle_free,
 )
 
@@ -106,25 +107,14 @@ def piece_feasible(
     L = len(ring)  # number of cycle edges (ring closes back to r)
     if L % 2 == 0:
         raise GraphError("piece cycle has even length")
-    pos = {v: i for i, v in enumerate(ring)}
 
-    # hang every off-cycle vertex below its nearest cycle vertex
-    anchor_pos: dict[int, int] = {}
-    par_flip: dict[int, int] = {}
-    queue = []
-    for v in ring[1:]:
-        anchor_pos[v] = pos[v]
-        par_flip[v] = 0
-        queue.append(v)
-    qi = 0
-    while qi < len(queue):
-        v = queue[qi]
-        qi += 1
-        for w in g.adjacency[v]:
-            if w in verts and w not in anchor_pos:
-                anchor_pos[w] = anchor_pos[v]
-                par_flip[w] = par_flip[v] ^ 1
-                queue.append(w)
+    # hang every off-cycle vertex below its cycle vertex, which is unique
+    # because the piece is a tree: its ring position and parity flip
+    off_ring = verts.difference(path)
+    hang: dict[int, tuple[int, int]] = {}
+    for p, v in enumerate(path, 1):
+        for w, flip in _bfs(g, v, off_ring)[1].items():
+            hang[w] = (p, flip)
 
     # project constraints onto cycle positions
     want: dict[int, int] = {0: root_side}
@@ -134,8 +124,8 @@ def piece_feasible(
         cv = constraints[v]
         if cv is None:
             continue
-        p = anchor_pos[v]
-        s = cv ^ par_flip[v]
+        p, flip = hang[v]
+        s = cv ^ flip
         if want.setdefault(p, s) != s:
             return None
 
@@ -168,7 +158,8 @@ def piece_feasible(
 
     out = {r: root_side}
     for v in piece.vertices:
-        out[v] = colors[anchor_pos[v]] ^ par_flip[v]
+        p, flip = hang[v]
+        out[v] = colors[p] ^ flip
     return out
 
 
@@ -177,17 +168,7 @@ def _tree_full_cut(
 ) -> Optional[dict[int, int]]:
     """2-coloring of an induced tree cutting every induced edge, or None."""
     vset = set(verts)
-    anchor = min(verts)
-    rel = {anchor: 0}
-    queue = [anchor]
-    qi = 0
-    while qi < len(queue):
-        v = queue[qi]
-        qi += 1
-        for w in g.adjacency[v]:
-            if w in vset and w not in rel:
-                rel[w] = rel[v] ^ 1
-                queue.append(w)
+    rel = _bfs(g, min(verts), vset)[1]
     if len(rel) != len(vset):
         raise GraphError("tail is not connected")
     flip: Optional[int] = None

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .graph import Graph, GraphError, OddCycleWitness, dfs_tree
+from .graph import Graph, GraphError, OddCycleWitness, _bfs, _bfs_parts, dfs_tree
 
 KIND_IOC_TREE = "ioc_tree"
 KIND_CB_GRAPH = "cb_graph"
@@ -197,46 +197,6 @@ def _induced_edges(g: Graph, verts: set[int]) -> list[tuple[int, int]]:
     return out
 
 
-def _is_connected_within(g: Graph, verts: set[int]) -> bool:
-    if not verts:
-        return False
-    start = next(iter(verts))
-    seen = {start}
-    queue = [start]
-    qi = 0
-    while qi < len(queue):
-        v = queue[qi]
-        qi += 1
-        for w in g.adjacency[v]:
-            if w in verts and w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return len(seen) == len(verts)
-
-
-def _two_color_within(g: Graph, verts: set[int]) -> Optional[dict[int, int]]:
-    """2-color the induced subgraph; None if an odd cycle prevents it."""
-    color: dict[int, int] = {}
-    for s in sorted(verts):
-        if s in color:
-            continue
-        color[s] = 0
-        queue = [s]
-        qi = 0
-        while qi < len(queue):
-            v = queue[qi]
-            qi += 1
-            for w in g.adjacency[v]:
-                if w not in verts:
-                    continue
-                if w not in color:
-                    color[w] = color[v] ^ 1
-                    queue.append(w)
-                elif color[w] == color[v]:
-                    return None
-    return color
-
-
 def validate_decomposition(g: Graph, d: Decomposition) -> ValidationReport:
     """Check every defining condition; violations are report entries."""
     report = ValidationReport(n=g.n, t=d.t)
@@ -246,10 +206,12 @@ def validate_decomposition(g: Graph, d: Decomposition) -> ValidationReport:
         return report
 
     seen: dict[int, int] = {}
+    out_of_range: set[int] = set()
     for i, comp in enumerate(comps):
         for v in comp.vertices:
             if not (0 <= v < g.n):
                 report.add(f"component {i}: vertex {v} out of range")
+                out_of_range.add(i)
             elif v in seen:
                 report.add(f"vertex {v} appears in components {seen[v]} and {i}")
             else:
@@ -270,17 +232,22 @@ def validate_decomposition(g: Graph, d: Decomposition) -> ValidationReport:
         if not verts:
             report.add(f"component {i}: empty vertex set")
             continue
+        if i in out_of_range:
+            continue  # its structure cannot be read off g
         edges = _induced_edges(g, verts)
-        connected = _is_connected_within(g, verts)
+        parts = list(_bfs_parts(g, sorted(verts), verts))
+        connected = len(parts) == 1
+        bipartite = all(conflict is None for *_, conflict in parts)
+        side = parts[0][1]
+        tree = connected and len(edges) == len(verts) - 1
         if not connected:
             report.add(f"component {i}: induced subgraph is disconnected")
-        if comp.kind in (KIND_IOC_TREE, KIND_TREE):
-            if len(edges) != len(verts) - 1 or not connected:
-                report.add(f"component {i}: induced subgraph contains a cycle or is not a tree")
+        if comp.kind in (KIND_IOC_TREE, KIND_TREE) and not tree:
+            report.add(f"component {i}: induced subgraph contains a cycle or is not a tree")
         if comp.kind == KIND_CB_GRAPH:
             if len(edges) < len(verts):
                 report.add(f"component {i}: CB piece has no cycle (|E| < |V|)")
-            if _two_color_within(g, verts) is None:
+            if not bipartite:
                 report.add(f"component {i}: CB piece is not bipartite")
             if comp.roots:
                 report.add(f"component {i}: CB piece should not carry roots")
@@ -303,19 +270,16 @@ def validate_decomposition(g: Graph, d: Decomposition) -> ValidationReport:
                     report.add(f"component {i}: root edge ({u}, {v}) does not join the piece to its root")
                     break
                 endpoints.append(a)
-            if len(endpoints) == 2:
-                color = _two_color_within(g, verts)
-                if color is None or not connected or len(edges) != len(verts) - 1:
-                    pass  # already reported above
-                elif color[endpoints[0]] == color[endpoints[1]]:
-                    report.add(
-                        f"component {i}: root edges close an even cycle (attachment points at even distance)"
-                    )
+            # a piece that is not a tree has been reported above
+            if len(endpoints) == 2 and tree and side[endpoints[0]] == side[endpoints[1]]:
+                report.add(
+                    f"component {i}: root edges close an even cycle (attachment points at even distance)"
+                )
 
     later: set[int] = set()
     for i in range(len(comps) - 1, -1, -1):
         comp = comps[i]
-        if i < len(comps) - 1:
+        if i < len(comps) - 1 and i not in out_of_range:
             has_forward = any(w in later for v in comp.vertices for w in g.adjacency[v])
             if not has_forward:
                 report.add(f"component {i}: no edge to any later component")
@@ -326,25 +290,14 @@ def validate_decomposition(g: Graph, d: Decomposition) -> ValidationReport:
 
 def _path_in_component(g: Graph, verts: set[int], a: int, b: int) -> Optional[list[int]]:
     """Path a..b inside the induced subgraph (BFS, ascending neighbors)."""
-    if a == b:
-        return [a]
-    par = {a: a}
-    queue = [a]
-    qi = 0
-    while qi < len(queue):
-        v = queue[qi]
-        qi += 1
-        for w in g.adjacency[v]:
-            if w in verts and w not in par:
-                par[w] = v
-                if w == b:
-                    path = [b]
-                    while path[-1] != a:
-                        path.append(par[path[-1]])
-                    path.reverse()
-                    return path
-                queue.append(w)
-    return None
+    parent = _bfs(g, a, verts, b)[2]
+    if b not in parent:
+        return None
+    path = [b]
+    while path[-1] != a:
+        path.append(parent[path[-1]])
+    path.reverse()
+    return path
 
 
 def odd_cycle_certificates(g: Graph, d: Decomposition) -> list[OddCycleWitness]:

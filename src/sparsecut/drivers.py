@@ -35,6 +35,7 @@ from .graph import (
     Graph,
     GraphError,
     OddCycleWitness,
+    _bfs,
     induced_subgraph,
     is_even_cycle_free,
     spanning_tree_cut,
@@ -343,9 +344,10 @@ def _tail_result(g: Graph, d: Decomposition, driver: str, ioc_case) -> ApproxRes
     """
     ts = merge_tail(g, d)
     if ts.tail_kind == TAIL_CB:
-        colors = _bipartition_assignment(*induced_subgraph(g, ts.tail_vertices))
-        if colors is None:
-            raise GraphError("CB tail is not bipartite; decomposition is corrupt")
+        tail = ts.tail_vertices
+        _, colors, _, conflict = _bfs(g, min(tail), set(tail))
+        if conflict is not None or len(colors) != len(tail):
+            raise GraphError("CB tail is not connected and bipartite; decomposition is corrupt")
         prefix_wits = odd_cycle_certificates(g, Decomposition(ts.prefix))
         return _seeded_result(g, d, ts.prefix, colors, prefix_wits, (), driver, "cb_tail_seed")
     if not ts.prefix:

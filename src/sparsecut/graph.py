@@ -2,7 +2,9 @@
 
 Vertices are always 0..n-1. Graphs are simple (no self-loops, no parallel
 edges) and undirected. Adjacency lists are kept sorted ascending so every
-traversal in the package is reproducible.
+traversal in the package is reproducible. Colourings, components and tree
+paths all come from one breadth-first search over a vertex mask,
+:func:`_bfs`.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 import gc
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Container, Iterable, Optional, Sequence, Union
 
 SIDE_A = 0
 SIDE_B = 1
@@ -267,38 +269,66 @@ def _validate_cycle(g: Graph, cycle: tuple[int, ...], length: int, want_odd: boo
             raise GraphError(f"cycle uses missing edge ({cycle[i]}, {cycle[i + 1]})")
 
 
+def _bfs(
+    g: Graph, s: int, mask: Optional[Container[int]] = None, target: int = -1
+) -> tuple[list[int], dict[int, int], dict[int, Optional[int]], Optional[tuple[int, int]]]:
+    """Breadth-first 2-colouring of the part of ``g`` that ``s`` reaches.
+
+    Neighbours are taken in ascending order, and only from ``mask`` when one
+    is given (``s`` itself need not be in it); the search stops when it
+    reaches ``target``. Returns the visiting order, each visited vertex's
+    side (``s`` on SIDE_A) and BFS parent (None for ``s``), and the first
+    edge met with both ends on one side, or None. Sides are BFS depth
+    parities, so that edge closes an odd cycle.
+    """
+    adj = g.adjacency
+    side = {s: SIDE_A}
+    parent: dict[int, Optional[int]] = {s: None}
+    order = [s]
+    conflict = None
+    for v in order:
+        other = side[v] ^ 1
+        for w in adj[v]:
+            if mask is not None and w not in mask:
+                continue
+            sw = side.get(w)
+            if sw is None:
+                side[w] = other
+                parent[w] = v
+                order.append(w)
+                if w == target:
+                    return order, side, parent, conflict
+            elif sw != other and conflict is None:
+                conflict = (v, w)
+    return order, side, parent, conflict
+
+
+def _bfs_parts(g: Graph, starts: Iterable[int], mask: Optional[Container[int]] = None):
+    """:func:`_bfs` from each of ``starts`` that no earlier search reached."""
+    seen: set[int] = set()
+    for s in starts:
+        if s not in seen:
+            found = _bfs(g, s, mask)
+            seen.update(found[0])
+            yield found
+
+
 def two_color(g: Graph) -> Union[Cut, OddCycleWitness]:
     """2-color the graph or return an odd cycle that prevents it.
 
     Works per connected component; the smallest vertex of each component
     is anchored to SIDE_A, so results are reproducible.
     """
-    n = g.n
-    adj = g.adjacency
-    color: list[Optional[int]] = [None] * n
-    parent: list[Optional[int]] = [None] * n
-    for s in range(n):
-        if color[s] is not None:
-            continue
-        color[s] = SIDE_A
-        queue = [s]
-        qi = 0
-        while qi < len(queue):
-            v = queue[qi]
-            qi += 1
-            cv = color[v]
-            for w in adj[v]:
-                cw = color[w]
-                if cw is None:
-                    color[w] = cv ^ 1
-                    parent[w] = v
-                    queue.append(w)
-                elif cw == cv:
-                    return _odd_cycle_from_conflict(parent, color, v, w)
-    return Cut.from_sides(g, color)  # type: ignore[arg-type]
+    side: list[Optional[int]] = [None] * g.n
+    for order, part, parent, conflict in _bfs_parts(g, range(g.n)):
+        if conflict is not None:
+            return _odd_cycle_from_conflict(parent, *conflict)
+        for v in order:
+            side[v] = part[v]
+    return Cut.from_sides(g, side)  # type: ignore[arg-type]
 
 
-def _odd_cycle_from_conflict(parent, color, u, w) -> OddCycleWitness:
+def _odd_cycle_from_conflict(parent, u, w) -> OddCycleWitness:
     # BFS colors equal parity of BFS depth, so walking both endpoints up to
     # their lowest common ancestor yields an odd closed walk.
     anc_u = [u]
@@ -332,25 +362,7 @@ def spanning_tree_cut(g: Graph) -> Cut:
 
 def connected_components(g: Graph) -> list[list[int]]:
     """Vertex lists of the connected components, each sorted ascending."""
-    n = g.n
-    adj = g.adjacency
-    seen = [False] * n
-    comps = []
-    for s in range(n):
-        if seen[s]:
-            continue
-        seen[s] = True
-        queue = [s]
-        qi = 0
-        while qi < len(queue):
-            v = queue[qi]
-            qi += 1
-            for w in adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    queue.append(w)
-        comps.append(sorted(queue))
-    return comps
+    return [sorted(found[0]) for found in _bfs_parts(g, range(g.n))]
 
 
 def subgraph_from_edges(

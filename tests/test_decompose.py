@@ -294,9 +294,17 @@ def test_validator_reports_each_violation(case):
     assert rep.violations == expected
 
 
-def test_validator_flags_out_of_range_vertex(k3):
-    rep = validate_decomposition(k3, Decomposition((Component(KIND_TREE, (0, 1, -1)),)))
-    assert "component 0: vertex -1 out of range" in rep.violations
+@pytest.mark.parametrize("bad", [5, -1])
+def test_validator_flags_out_of_range_vertex(k3, bad):
+    # the range violation is reported and the component's structure is not
+    # read: neither as adjacency[5], past the end, nor as adjacency[-1]
+    rep = validate_decomposition(k3, Decomposition((Component(KIND_TREE, (0, 1, bad)),)))
+    assert rep.violations == [f"component 0: vertex {bad} out of range", "vertices not covered: [2]"]
+    d = Decomposition((
+        Component(KIND_IOC_TREE, (1, 2, bad), roots=(0,), root_edges=((0, 1), (0, 2))),
+        Component(KIND_TREE, (0,)),
+    ))
+    assert validate_decomposition(k3, d).violations == [f"component 0: vertex {bad} out of range"]
 
 
 # --------------------------------------------------------------- certificates

@@ -556,3 +556,13 @@ def test_validation_reports_match_reference_at_scale():
     g = gnm_connected(2000, 5000, 4)
     d = tree_bipartite_decompose(g)
     assert validate_decomposition(g, d) == reference_validate_decomposition(g, d)
+
+
+def test_validation_report_colours_every_part_of_a_piece():
+    # the CB piece's induced subgraph is an edge and a triangle: only its
+    # second part, which no search from the smallest vertex reaches, is odd
+    g = build_graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 3)])
+    d = Decomposition((Component(KIND_CB_GRAPH, (0, 1, 3, 4, 5)), Component(KIND_TREE, (2,))))
+    report = validate_decomposition(g, d)
+    assert "component 0: CB piece is not bipartite" in report.violations
+    assert report == reference_validate_decomposition(g, d)

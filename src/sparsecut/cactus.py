@@ -108,8 +108,8 @@ def piece_feasible(
     if L % 2 == 0:
         raise GraphError("piece cycle has even length")
 
-    # hang every off-cycle vertex below its cycle vertex, which is unique
-    # because the piece is a tree: its ring position and parity flip
+    # hang[w] is the ring position of the cycle vertex that w hangs from,
+    # unique because the piece is a tree, and the parity of w's distance to it
     off_ring = verts.difference(path)
     hang: dict[int, tuple[int, int]] = {}
     for p, v in enumerate(path, 1):

@@ -90,6 +90,16 @@ def piece_feasible(
     relation fails. Returns vertex -> side for the piece (including the
     root) or None when infeasible.
     """
+    return _ring_assign(piece, _piece_ring(g, piece), root_side, constraints)
+
+
+# root r, odd cycle length L, and for every piece vertex the ring position
+# of the cycle vertex it hangs from and the parity of its distance to it
+_Ring = tuple[int, int, dict[int, tuple[int, int]]]
+
+
+def _piece_ring(g: Graph, piece: Component) -> _Ring:
+    """The part of :func:`piece_feasible` that no constraint changes."""
     if piece.kind != KIND_IOC_TREE or len(piece.roots) != 1 or len(piece.root_edges) != 2:
         raise GraphError("piece must be an IOC tree with one root and two root edges")
     r = piece.roots[0]
@@ -103,19 +113,24 @@ def piece_feasible(
     path = _path_in_component(g, verts, a, b)
     if path is None:
         raise GraphError("attachment points are not connected inside the piece")
-    ring = [r] + path
-    L = len(ring)  # number of cycle edges (ring closes back to r)
+    L = len(path) + 1  # number of cycle edges (ring r + path closes back to r)
     if L % 2 == 0:
         raise GraphError("piece cycle has even length")
 
-    # hang[w] is the ring position of the cycle vertex that w hangs from,
-    # unique because the piece is a tree, and the parity of w's distance to it
+    # hang[w] is unique because the piece is a tree
     off_ring = verts.difference(path)
     hang: dict[int, tuple[int, int]] = {}
     for p, v in enumerate(path, 1):
         for w, flip in _bfs(g, v, off_ring)[1].items():
             hang[w] = (p, flip)
+    return r, L, hang
 
+
+def _ring_assign(
+    piece: Component, ring: _Ring, root_side: int, constraints: Sequence[Optional[int]]
+) -> Optional[dict[int, int]]:
+    """:func:`piece_feasible` on a piece whose ring is already known."""
+    r, L, hang = ring
     # project constraints onto cycle positions
     want: dict[int, int] = {0: root_side}
     if constraints[r] is not None and constraints[r] != root_side:
@@ -167,41 +182,64 @@ def _tree_full_cut(
     g: Graph, verts: Sequence[int], constraints: Sequence[Optional[int]]
 ) -> Optional[dict[int, int]]:
     """2-coloring of an induced tree cutting every induced edge, or None."""
+    return _orient_tree(_tree_parity(g, verts), constraints)
+
+
+def _tree_parity(g: Graph, verts: Sequence[int]) -> dict[int, int]:
+    """Side of each vertex of a connected induced tree, its smallest vertex on SIDE_A."""
     vset = set(verts)
     rel = _bfs(g, min(verts), vset)[1]
     if len(rel) != len(vset):
         raise GraphError("tail is not connected")
+    return rel
+
+
+def _orient_tree(
+    rel: dict[int, int], constraints: Sequence[Optional[int]]
+) -> Optional[dict[int, int]]:
+    """The colouring ``rel`` or its flip, whichever meets every constraint, or None."""
     flip: Optional[int] = None
-    for v in sorted(vset):
+    for v, s in rel.items():
         cv = constraints[v]
         if cv is None:
             continue
-        f = cv ^ rel[v]
+        f = cv ^ s
         if flip is None:
             flip = f
         elif flip != f:
             return None
     if flip is None:
         flip = SIDE_A
-    return {v: rel[v] ^ flip for v in vset}
+    return {v: s ^ flip for v, s in rel.items()}
 
 
-def constrained_cactus_cut(g: Graph, pa: PartialAssignment) -> Optional[Cut]:
-    """Cut of size exactly m - y extending ``pa``, or None if impossible.
+@dataclass(frozen=True)
+class CactusAnalysis:
+    """What :func:`constrained_cactus_cut` knows of a graph before any constraint.
 
-    Requires a connected graph without even cycles (y is its odd cycle
-    count). Runs in near-linear time.
+    ``target`` is m - y; each IOC piece comes with its ring, and the tree
+    tail with its 2-colouring from its smallest vertex.
     """
-    if pa.n != g.n:
-        raise GraphError(f"assignment covers {pa.n} of {g.n} vertices")
-    cycles = is_even_cycle_free(g)
-    if isinstance(cycles, EvenCycleWitness):
-        raise GraphError("graph contains an even cycle")
-    y = len(cycles)
-    target = g.m - y
 
-    d = tree_bipartite_decompose(g)
-    comps = d.components
+    g: Graph
+    target: int
+    pieces: tuple[tuple[Component, _Ring], ...]
+    tail: dict[int, int]
+
+
+def analyse_cactus(g: Graph, y: Optional[int] = None) -> CactusAnalysis:
+    """Check a connected even-cycle-free graph and decompose it once.
+
+    ``y``, the graph's odd cycle count, skips the even-cycle check when the
+    caller has already made it.
+    """
+    if y is None:
+        cycles = is_even_cycle_free(g)
+        if isinstance(cycles, EvenCycleWitness):
+            raise GraphError("graph contains an even cycle")
+        y = len(cycles)
+
+    comps = tree_bipartite_decompose(g).components
     tail = comps[-1]
     if tail.kind != KIND_TREE:
         raise GraphError("decomposition of an even-cycle-free graph must end in a tree")
@@ -209,15 +247,38 @@ def constrained_cactus_cut(g: Graph, pa: PartialAssignment) -> Optional[Cut]:
     for piece in pieces:
         if piece.kind != KIND_IOC_TREE:
             raise GraphError("even-cycle-free graph decomposed into a non-IOC piece")
+    return CactusAnalysis(
+        g,
+        g.m - y,
+        tuple((piece, _piece_ring(g, piece)) for piece in pieces),
+        _tree_parity(g, tail.vertices),
+    )
+
+
+def constrained_cactus_cut(
+    g: Graph, pa: PartialAssignment, analysis: Optional[CactusAnalysis] = None
+) -> Optional[Cut]:
+    """Cut of size exactly m - y extending ``pa``, or None if impossible.
+
+    Requires a connected graph without even cycles (y is its odd cycle
+    count). Runs in near-linear time. ``analysis``, from
+    :func:`analyse_cactus` on ``g``, lets many constraint sets share one.
+    """
+    if pa.n != g.n:
+        raise GraphError(f"assignment covers {pa.n} of {g.n} vertices")
+    if analysis is None:
+        analysis = analyse_cactus(g)
+    elif analysis.g is not g:
+        raise GraphError("analysis is of another graph")
 
     work: list[Optional[int]] = list(pa.side)
     memos: list[dict[int, dict[int, int]]] = []
-    for piece in pieces:
-        r = piece.roots[0]
+    for piece, ring in analysis.pieces:
+        r = ring[0]
         allowed = (work[r],) if work[r] is not None else (SIDE_A, SIDE_B)
         memo: dict[int, dict[int, int]] = {}
         for s in allowed:
-            res = piece_feasible(g, piece, s, work)
+            res = _ring_assign(piece, ring, s, work)
             if res is not None:
                 memo[s] = res
         if not memo:
@@ -226,24 +287,23 @@ def constrained_cactus_cut(g: Graph, pa: PartialAssignment) -> Optional[Cut]:
             work[r] = next(iter(memo))
         memos.append(memo)
 
-    tail_assign = _tree_full_cut(g, tail.vertices, work)
+    tail_assign = _orient_tree(analysis.tail, work)
     if tail_assign is None:
         return None
 
     final: list[Optional[int]] = [None] * g.n
     for v, s in tail_assign.items():
         final[v] = s
-    for piece, memo in zip(reversed(pieces), reversed(memos)):
-        r = piece.roots[0]
-        s = final[r]
+    for (_, ring), memo in zip(reversed(analysis.pieces), reversed(memos)):
+        s = final[ring[0]]
         if s is None or s not in memo:
             raise AssertionError("backward replay lost a root assignment")
         for v, sv in memo[s].items():
             final[v] = sv
 
     cut = Cut.from_sides(g, final)  # type: ignore[arg-type]
-    if cut.size != target:
+    if cut.size != analysis.target:
         raise AssertionError(
-            f"constructed cut has size {cut.size}, expected {target}"
+            f"constructed cut has size {cut.size}, expected {analysis.target}"
         )
     return cut

@@ -17,13 +17,14 @@ its odd cycle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
-from .cactus import PartialAssignment, constrained_cactus_cut
+from .cactus import CactusAnalysis, PartialAssignment, analyse_cactus, constrained_cactus_cut
 from .decompose import (
     KIND_CB_GRAPH,
+    KIND_IOC_TREE,
     Component,
     Decomposition,
     odd_cycle_certificates,
@@ -36,6 +37,7 @@ from .graph import (
     GraphError,
     OddCycleWitness,
     _bfs,
+    _bfs_parts,
     induced_subgraph,
     is_even_cycle_free,
     spanning_tree_cut,
@@ -47,8 +49,8 @@ from .maxcut import (
     ALGO_THM2,
     ALGO_THM3,
     ApproxResult,
+    _cb_surplus,
     _certified,
-    cb_surplus,
     greedy_merge,
     thm1_approx,
     thm1_from_decomposition,
@@ -67,6 +69,8 @@ class TailState:
     odd-cactus tails the merged tail has no even cycle and carries its
     ``y`` odd cycles as witnesses; a CB tail is never folded (it contains
     an even cycle by itself) and is reported as-is with y = 0.
+    ``induced`` is the tail's induced subgraph and its ids when the fold
+    built it; it takes no part in comparison.
     """
 
     prefix: tuple[Component, ...]
@@ -74,30 +78,46 @@ class TailState:
     tail_kind: str
     y: int
     tail_odd_cycles: tuple[OddCycleWitness, ...]
+    induced: Optional[tuple[Graph, tuple[int, ...]]] = field(
+        default=None, compare=False, repr=False
+    )
 
 
 def merge_tail(g: Graph, d: Decomposition) -> TailState:
-    """Fold trailing components into the tail while the union has no even cycle."""
-    comps = list(d.components)
+    """Fold trailing components into the tail while the union has no even cycle.
+
+    The pieces before the tree tail are taken last first. A CB piece holds
+    an even cycle and stops the fold. An IOC piece is a tree whose two root
+    edges meet one later vertex and close an odd cycle: with no other edge
+    into the tail that cycle is a block of its own and the piece folds in,
+    while a third edge would share a block with the cycle, and such a block
+    holds an even cycle. One check of the final tail then lists its odd
+    cycles: the check the last successful fold step used to make.
+    """
+    comps = d.components
     last = comps[-1]
     if last.kind == KIND_CB_GRAPH:
-        return TailState(tuple(comps[:-1]), last.vertices, TAIL_CB, 0, ())
-    tail = list(last.vertices)
-    cycles: tuple[OddCycleWitness, ...] = ()
+        return TailState(comps[:-1], last.vertices, TAIL_CB, 0, ())
+    adj = g.adjacency
+    in_tail = set(last.vertices)
     k = len(comps) - 1
     while k > 0:
-        cand = sorted(set(tail) | set(comps[k - 1].vertices))
-        sub, ids = induced_subgraph(g, cand)
-        res = is_even_cycle_free(sub)
-        if isinstance(res, EvenCycleWitness):
+        piece = comps[k - 1]
+        if piece.kind != KIND_IOC_TREE:
             break
-        tail = cand
-        cycles = tuple(
-            OddCycleWitness.from_vertices([ids[v] for v in w.cycle]) for w in res
-        )
+        if sum(1 for v in piece.vertices for w in adj[v] if w in in_tail) != 2:
+            break
+        in_tail.update(piece.vertices)
         k -= 1
-    kind = TAIL_ODD_CACTUS if cycles else TAIL_TREE
-    return TailState(tuple(comps[:k]), tuple(tail), kind, len(cycles), cycles)
+    if k == len(comps) - 1:
+        return TailState(comps[:k], last.vertices, TAIL_TREE, 0, ())
+    tail = tuple(sorted(in_tail))
+    sub, ids = induced = induced_subgraph(g, tail)
+    res = is_even_cycle_free(sub)
+    if isinstance(res, EvenCycleWitness):
+        raise AssertionError("folded tail holds an even cycle")
+    cycles = tuple(OddCycleWitness.from_vertices([ids[v] for v in w.cycle]) for w in res)
+    return TailState(comps[:k], tail, TAIL_ODD_CACTUS, len(cycles), cycles, induced)
 
 
 def _seeded_result(
@@ -116,29 +136,44 @@ def _seeded_result(
     seed loses exactly one suffix edge per cycle, which proves it maximum.
     The suffix cut has size m' - l over the m' suffix-plus-cross edges it
     covers; the certificate chain needs x' (prefix odd-cycle witnesses),
-    the suffix order n' and l.
+    the suffix order n' and l. ``prefix`` leads ``d``, and the one pass
+    that counts m' also counts the edges inside the suffix's CB pieces;
+    the merge counts the prefix's.
     """
     x_prefix = len(prefix_witnesses)
     l_value = len(suffix_witnesses)
     n_prime = len(seed)
-    covered = set(seed)
+    suffix = d.components[len(prefix):]
+    cb_of = {
+        v: i for i, comp in enumerate(suffix) if comp.kind == KIND_CB_GRAPH for v in comp.vertices
+    }
     m_prime = 0
     seed_cut = 0
+    cb_edges = 0
     for u, v in g.edges:
-        if u in covered and v in covered:
-            m_prime += 1
-            if seed[u] != seed[v]:
-                seed_cut += 1
+        su = seed.get(u)
+        if su is None:
+            continue
+        sv = seed.get(v)
+        if sv is None:
+            continue
+        m_prime += 1
+        if su != sv:
+            seed_cut += 1
+        i = cb_of.get(u)
+        if i is not None and cb_of.get(v) == i:
+            cb_edges += 1
     if seed_cut != m_prime - l_value:
         raise AssertionError("seed does not achieve the claimed suffix cut")
-    cut = greedy_merge(g, prefix, seed=seed)
+    counts: list[int] = []
+    cut = greedy_merge(g, prefix, seed=seed, edge_counts=counts)
     witnesses = list(prefix_witnesses) + list(suffix_witnesses)
     lower = Fraction(g.m + g.n - x_prefix + m_prime - n_prime - 2 * l_value, 2)
     upper = g.m - x_prefix - l_value
     return _certified(
         g, cut, witnesses, lower, upper,
         x=d.ioc_count(),
-        c=cb_surplus(g, d),
+        c=_cb_surplus(prefix, counts) + cb_edges - len(cb_of),
         algorithm=driver,
         driver=driver,
         method=method,
@@ -223,23 +258,32 @@ def _bipartition_assignment(sub: Graph, ids) -> Optional[dict[int, int]]:
 
 
 def _extend_by_cactus_cut(
-    sub: Graph, ids, colors: dict[int, int]
+    analysis: CactusAnalysis, ids, colors: dict[int, int]
 ) -> Optional[dict[int, int]]:
-    """Extend ``colors`` by a maximum cut of the even-cycle-free relabeled ``sub``.
+    """Extend ``colors`` by a maximum cut of the analysed even-cycle-free graph.
 
-    Returns None when no maximum cut of ``sub`` agrees with ``colors``.
+    The graph is relabeled, ``ids`` giving its original vertices. Returns
+    None when no maximum cut of it agrees with ``colors``.
     """
+    sub = analysis.g
     index = {v: i for i, v in enumerate(ids)}
     side: list[Optional[int]] = [None] * sub.n
     for v, s in colors.items():
-        if v in index:
-            side[index[v]] = s
-    res = constrained_cactus_cut(sub, PartialAssignment(tuple(side)))
+        i = index.get(v)
+        if i is not None:
+            side[i] = s
+    res = constrained_cactus_cut(sub, PartialAssignment(tuple(side)), analysis)
     if res is None:
         return None
     seed = dict(colors)
-    seed.update({ids[v]: res.side[v] for v in range(sub.n)})
+    seed.update(zip(ids, res.side))
     return seed
+
+
+def _tail_cactus(g: Graph, ts: TailState) -> tuple[CactusAnalysis, tuple[int, ...]]:
+    """The even-cycle-free tail's graph, analysed once for every constraint set."""
+    sub, ids = ts.induced if ts.induced is not None else induced_subgraph(g, ts.tail_vertices)
+    return analyse_cactus(sub, ts.y), ids
 
 
 def _case_cb_neighbor(
@@ -256,12 +300,85 @@ def _case_cb_neighbor(
     colors = _bipartition_assignment(*subgraph_from_edges(gp_vertices, nb.hk_edges + nb.cross))
     if colors is None:
         return _strict_bound_result(g, d, nb.witnesses, driver, "cb_boundary_not_bipartite")
-    seed = _extend_by_cactus_cut(*induced_subgraph(g, ts.tail_vertices), colors)
+    seed = _extend_by_cactus_cut(*_tail_cactus(g, ts), colors)
     if seed is None:
         return _strict_bound_result(g, d, nb.witnesses, driver, "cb_tail_infeasible")
     return _seeded_result(
         g, d, nb.rest, seed, nb.prefix_witnesses, ts.tail_odd_cycles, driver, "cb_boundary_seed"
     )
+
+
+def _ring_colourings(nb: _Neighbor) -> Iterator[Callable[[int], int]]:
+    """The piece part's 2-colourings without one edge of hk's ring, in ring order.
+
+    The piece part is hk's tree plus its cross edges, and the ring is hk's
+    odd cycle through its root. Without the ring's edges the part falls
+    into groups that each hold a ring vertex; one breadth-first pass from
+    the ring vertices in ring order colours them, and an odd cycle there
+    leaves no edge to drop. Dropping ring edge j leaves the others as a
+    path that fixes each ring vertex's side, so two ring vertices of one
+    group at positions q < p keep their colour parity only if j lies
+    outside the arc q..p, or only if inside, and one sweep round the ring
+    counts these demands at every j. For each j that meets them all this
+    yields a function giving every part vertex its side, with the part's
+    smallest vertex on SIDE_A, as :func:`two_color` would colour it.
+    """
+    ring = nb.prefix_witnesses[-1].cycle
+    L = len(ring) - 1
+    ring_edges = {(u, v) if u < v else (v, u) for u, v in zip(ring, ring[1:])}
+    h, ids = subgraph_from_edges(
+        set(nb.hk.vertices) | {w for _, w in nb.cross},
+        [e for e in nb.hk_edges + nb.cross if (min(e), max(e)) not in ring_edges],
+    )
+    index = {v: i for i, v in enumerate(ids)}
+    at = [index[v] for v in ring[:-1]]
+    pos = {x: p for p, x in enumerate(at)}
+    # side[x] is x's side in its group and start[x] the group's first ring
+    # position, whose vertex is on SIDE_A
+    side = [0] * h.n
+    start = [0] * h.n
+    reached = 0
+    for order, part_side, _, conflict in _bfs_parts(h, at):
+        if conflict is not None:
+            return
+        p = pos[order[0]]
+        for x in order:
+            side[x] = part_side[x]
+            start[x] = p
+        reached += len(order)
+    if reached != h.n:
+        raise AssertionError("piece part has a vertex no ring vertex reaches")
+
+    # inside[j] and outside[j] count the demands that put edge j inside,
+    # or outside, an arc; they start and stop as difference marks
+    inside = [0] * (L + 1)
+    outside = [0] * (L + 1)
+    inside_total = 0
+    last = [-1] * L
+    for p, x in enumerate(at):
+        q = last[start[x]]
+        last[start[x]] = p
+        if q < 0:
+            continue
+        marks = outside if side[at[q]] ^ side[x] == (p - q) & 1 else inside
+        marks[q] += 1
+        marks[p] -= 1
+        inside_total += marks is inside
+    now_inside = now_outside = 0
+    for j in range(L):
+        now_inside += inside[j]
+        now_outside += outside[j]
+        if now_outside or now_inside != inside_total:
+            continue
+        # ring position p sits (p - j - 1) % L steps along the path
+        shift = j + 1
+        flip = side[0] ^ ((start[0] - shift) % L & 1)
+
+        def colour(v: int, shift: int = shift, flip: int = flip) -> int:
+            x = index[v]
+            return side[x] ^ ((start[x] - shift) % L & 1) ^ flip
+
+        yield colour
 
 
 def _case_ioc_neighbor_scan(
@@ -270,29 +387,23 @@ def _case_ioc_neighbor_scan(
     """Component next to the tail is an IOC tree: scan its odd cycle.
 
     A suffix cut losing only y + 1 edges must lose exactly one edge on the
-    piece's odd cycle and cut everything else around it, so for each cycle
-    edge e the piece-plus-cross part minus e is tested for bipartiteness
-    and the tail for feasibility. Exhausting the cycle proves the suffix
-    loses at least y + 2 edges.
+    piece's odd cycle and cut everything else around it. So for each cycle
+    edge e whose removal leaves the piece-plus-cross part bipartite, in
+    cycle order, the tail is tested for feasibility under the colours that
+    part forces on it. Exhausting the cycle proves the suffix loses at
+    least y + 2 edges.
     """
     nb = _neighbor(g, ts)
-    gp_vertices = sorted(set(nb.hk.vertices) | {w for _, w in nb.cross})
-    gp_edges = [tuple(sorted(ed)) for ed in nb.hk_edges + nb.cross]
     ring_wit = nb.prefix_witnesses[-1]
-    ring = ring_wit.cycle
-    ring_edges = [tuple(sorted((ring[i], ring[i + 1]))) for i in range(len(ring) - 1)]
-    tail = induced_subgraph(g, ts.tail_vertices)
-
-    for e in ring_edges:
-        kept = [ed for ed in gp_edges if ed != e]
-        colors = _bipartition_assignment(*subgraph_from_edges(gp_vertices, kept))
-        if colors is None:
-            continue
-        if colors[e[0]] != colors[e[1]]:
-            raise AssertionError("piece part would be bipartite outright")
-        seed = _extend_by_cactus_cut(*tail, colors)
+    boundary = {w for _, w in nb.cross}
+    tail = None
+    for colour in _ring_colourings(nb):
+        if tail is None:
+            tail = _tail_cactus(g, ts)
+        seed = _extend_by_cactus_cut(*tail, {w: colour(w) for w in boundary})
         if seed is None:
             continue
+        seed.update((v, colour(v)) for v in nb.hk.vertices)
         return _seeded_result(
             g, d, nb.rest, seed, nb.prefix_witnesses[:-1],
             ts.tail_odd_cycles + (ring_wit,),
@@ -325,8 +436,8 @@ def _case_ioc_neighbor_single_test(
         return _strict_bound_result(g, d, nb.witnesses, driver, "tail_boundary_not_bipartite")
 
     piece_vertices = sorted(set(nb.hk.vertices) | {nb.hk.roots[0]})
-    piece = subgraph_from_edges(piece_vertices, nb.hk_edges + [e1, e2])
-    seed = _extend_by_cactus_cut(*piece, colors)
+    piece, piece_ids = subgraph_from_edges(piece_vertices, nb.hk_edges + [e1, e2])
+    seed = _extend_by_cactus_cut(analyse_cactus(piece), piece_ids, colors)
     if seed is None:
         return _strict_bound_result(g, d, nb.witnesses, driver, "piece_infeasible")
     return _seeded_result(
@@ -358,7 +469,7 @@ def _tail_result(g: Graph, d: Decomposition, driver: str, ioc_case) -> ApproxRes
 
 
 def thm2_approx(g: Graph) -> ApproxResult:
-    """Quadratic-ish driver with certified ratio at least 1/2 + n/(2m).
+    """Driver with certified ratio at least 1/2 + n/(2m).
 
     Dispatch: whole graph even-cycle-free -> spanning-tree cut is exact;
     CB tail -> its bipartition seeds the merge; otherwise solve or refute

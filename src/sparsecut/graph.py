@@ -2,9 +2,9 @@
 
 Vertices are always 0..n-1. Graphs are simple (no self-loops, no parallel
 edges) and undirected. Adjacency lists are kept sorted ascending so every
-traversal in the package is reproducible. Colourings, components and tree
-paths all come from one breadth-first search over a vertex mask,
-:func:`_bfs`.
+traversal in the package is reproducible. Colourings and tree paths all
+come from one breadth-first search over a vertex mask, :func:`_bfs`;
+:func:`connected_components` keeps a flag-only search of its own.
 """
 
 from __future__ import annotations
@@ -361,8 +361,27 @@ def spanning_tree_cut(g: Graph) -> Cut:
 
 
 def connected_components(g: Graph) -> list[list[int]]:
-    """Vertex lists of the connected components, each sorted ascending."""
-    return [sorted(found[0]) for found in _bfs_parts(g, range(g.n))]
+    """Vertex lists of the connected components, each sorted ascending.
+
+    Ordered by smallest vertex. A search of its own with one flag per
+    vertex: no side or parent is needed, and :func:`_bfs` would fill both.
+    """
+    adj = g.adjacency
+    seen = [False] * g.n
+    comps = []
+    for s in range(g.n):
+        if seen[s]:
+            continue
+        seen[s] = True
+        part = [s]
+        for v in part:
+            for w in adj[v]:
+                if not seen[w]:
+                    seen[w] = True
+                    part.append(w)
+        part.sort()
+        comps.append(part)
+    return comps
 
 
 def subgraph_from_edges(

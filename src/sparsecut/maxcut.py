@@ -93,13 +93,14 @@ def component_edge_counts(g: Graph, d: Decomposition) -> list[int]:
 
 def cb_surplus(g: Graph, d: Decomposition) -> int:
     """Total |E(H)| - |V(H)| over the CB components."""
-    return _cb_surplus(d, component_edge_counts(g, d))
+    return _cb_surplus(d.components, component_edge_counts(g, d))
 
 
-def _cb_surplus(d: Decomposition, counts: Sequence[int]) -> int:
+def _cb_surplus(components: Sequence[Component], counts: Sequence[int]) -> int:
+    """Total |E(H)| - |V(H)| over the CB pieces among ``components``, given their edge counts."""
     return sum(
         counts[i] - len(comp.vertices)
-        for i, comp in enumerate(d.components)
+        for i, comp in enumerate(components)
         if comp.kind == KIND_CB_GRAPH
     )
 
@@ -270,7 +271,7 @@ def thm1_from_decomposition(g: Graph, d: Decomposition) -> ApproxResult:
     cut = greedy_merge(g, d, edge_counts=counts)
     witnesses = odd_cycle_certificates(g, d)
     x = len(witnesses)
-    c = _cb_surplus(d, counts)
+    c = _cb_surplus(d.components, counts)
     tail_is_tree = d.components[-1].kind == KIND_TREE
     lower = Fraction(g.m + g.n + c - x - (1 if tail_is_tree else 0), 2)
     upper = g.m - x

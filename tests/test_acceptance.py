@@ -261,12 +261,28 @@ def test_criterion_7_runtime_scaling():
     t_sub = time.perf_counter() - t0
     assert r3.cut.size > 0
 
+    # thm2 folds every piece of an odd cactus into its tail
+    cactus_sizes = [4_000, 8_000, 16_000]
+    cactus_times = []
+    for n in cactus_sizes:
+        g = random_cactus(n, True, rng)
+        t0 = time.perf_counter()
+        r2 = thm2_approx(g)
+        cactus_times.append(time.perf_counter() - t0)
+        assert r2.cut.size == g.n - 1
+    cactus_factors = [cactus_times[i + 1] / cactus_times[i] for i in range(len(cactus_times) - 1)]
+    timing_ok = timing_ok and all(f <= 2.6 for f in cactus_factors)
+
     detail = (
         "thm1 times "
         + ", ".join(f"n={n}: {t:.2f}s" for n, t in zip(sizes, times))
         + "; growth per doubling "
         + ", ".join(f"{f:.2f}x" for f in factors)
         + f"; thm3 subcubic n=1e6: {t_sub:.2f}s"
+        + "; thm2 odd cactus times "
+        + ", ".join(f"n={n}: {t:.3f}s" for n, t in zip(cactus_sizes, cactus_times))
+        + "; growth per doubling "
+        + ", ".join(f"{f:.2f}x" for f in cactus_factors)
     )
     verdict = "PASS" if timing_ok else "REPORT"
     _report(f"[{verdict}] criterion 7: {detail}")

@@ -22,6 +22,7 @@ from sparsecut import (
     verify_result,
 )
 from tests.conftest import random_connected_graph
+from tests.test_edgelist_cli import count_calls
 
 
 # ------------------------------------------------------------------ merge_tail
@@ -60,6 +61,46 @@ def test_merge_tail_stops_at_even_cycle(k4):
     assert len(ts.prefix) == 1
     assert ts.tail_kind == "tree"
     assert ts.y == 0
+
+
+def test_merge_tail_stops_at_an_ioc_piece_with_a_third_edge_into_the_tail():
+    # K4 less the edge 2-3: the IOC piece {2} reaches the tail {0, 1, 3} by
+    # three edges, so its triangle would share a block with the tail's
+    g = build_graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
+    d = tree_bipartite_decompose(g)
+    assert [c.kind for c in d.components] == ["ioc_tree", "tree"]
+    ts = merge_tail(g, d)
+    assert ts.prefix == d.components[:1]
+    assert ts.tail_kind == "tree" and ts.y == 0
+
+
+# Deterministic linearity guard: thm2 on a long odd cactus, and on a near
+# tree whose IOC ring scan runs out, builds a fixed number of graphs and
+# checks the tail for even cycles once, however many pieces fold and however
+# many ring edges the scan tries. Calls are counted; nothing is timed.
+LINEAR_GUARD_GRAPHS = [
+    *[pytest.param(lambda s=s: random_cactus(4000, True, s), "spanning_tree_exact",
+                   id=f"odd_cactus_4000_s{s}") for s in range(3)],
+    pytest.param(lambda: gnm_connected(20_000, 20_020, 1), "ioc_cycle_scan_exhausted",
+                 id="near_tree_ioc_cycle_scan_exhausted"),
+]
+
+
+@pytest.mark.parametrize("make, method", LINEAR_GUARD_GRAPHS)
+def test_thm2_tail_path_builds_a_fixed_number_of_graphs(monkeypatch, make, method):
+    g = make()
+    even_checks = count_calls(monkeypatch, "is_even_cycle_free")
+    induced = count_calls(monkeypatch, "induced_subgraph")
+    builds = count_calls(monkeypatch, "build_graph")
+    ts = merge_tail(g, tree_bipartite_decompose(g))
+    assert len(even_checks) <= 1
+    if method == "spanning_tree_exact":
+        assert ts.prefix == () and ts.y > 100  # hundreds of pieces folded
+    del even_checks[:], induced[:], builds[:]
+    assert thm2_approx(g).method == method
+    assert len(even_checks) <= 1
+    assert len(induced) <= 1
+    assert len(builds) <= 1
 
 
 # ------------------------------------------------------------------------ thm2

@@ -112,7 +112,8 @@ def merge_tail(g: Graph, d: Decomposition) -> TailState:
     if k == len(comps) - 1:
         return TailState(comps[:k], last.vertices, TAIL_TREE, 0, ())
     tail = tuple(sorted(in_tail))
-    sub, ids = induced = induced_subgraph(g, tail)
+    # a tail that swallowed every piece is g itself
+    sub, ids = induced = (g, tail) if len(tail) == g.n else induced_subgraph(g, tail)
     res = is_even_cycle_free(sub)
     if isinstance(res, EvenCycleWitness):
         raise AssertionError("folded tail holds an even cycle")

@@ -55,20 +55,18 @@ class PartialAssignment:
         cls, n: int, side_a: Sequence[int] = (), side_b: Sequence[int] = ()
     ) -> "PartialAssignment":
         side: list[Optional[int]] = [None] * n
-        for v in side_a:
-            side[v] = SIDE_A
-        for v in side_b:
-            if side[v] == SIDE_A:
-                raise GraphError(f"vertex {v} constrained to both sides")
-            side[v] = SIDE_B
+        for s, vertices in ((SIDE_A, side_a), (SIDE_B, side_b)):
+            for v in vertices:
+                if not 0 <= v < n:
+                    raise GraphError(f"vertex {v} out of range for n={n}")
+                if side[v] not in (None, s):
+                    raise GraphError(f"vertex {v} constrained to both sides")
+                side[v] = s
         return cls(tuple(side))
 
     @property
     def n(self) -> int:
         return len(self.side)
-
-    def fixed_count(self) -> int:
-        return sum(1 for s in self.side if s is not None)
 
     def respected_by(self, cut: Cut) -> bool:
         return all(s is None or cut.side[v] == s for v, s in enumerate(self.side))

@@ -6,31 +6,28 @@ blank lines and lines starting with '#' are ignored, and every other line
 holds exactly two integers (as ``int`` reads them). Written output is
 canonical: edges with u < v, sorted.
 
-Parsing reads the whole text in one pass through numpy's C reader and
-builds the :class:`Graph` from array operations. Text outside the common
-subset (ASCII digits, spaces, tabs, line ends, full-line comments) is
-tokenised line by line instead, and a rejected file is rescanned line by
-line so the error names its first offending line.
+Parsing reads the whole text in one pass through numpy's C reader, checks
+the header row and hands the edge rows to :func:`build_graph`. Text outside
+the common subset (ASCII digits, spaces, tabs, line ends, full-line
+comments) is tokenised line by line instead, and a rejected file is
+rescanned line by line so the error names its first offending line.
 """
 
 from __future__ import annotations
 
 import io
-import math
 import re
-from itertools import accumulate
+from contextlib import suppress
 
 import numpy as np
 
-from .graph import Graph, GraphError, build_graph, gc_paused
+from .graph import Graph, GraphError, build_graph
 
 # ``str.splitlines`` also breaks lines at these; text holding any of them is
 # tokenised line by line, so a comment must not swallow one.
 _OTHER_LINE_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 _COMMENT_LINE = re.compile(rf"^[ \t]*#[^\n{_OTHER_LINE_BREAKS}]*", re.MULTILINE)
 _PLAIN_BYTES = b"0123456789 \t\n"
-# The largest n for which the int64 edge keys u*n + v cannot overflow.
-_MAX_KEYED_N = math.isqrt(np.iinfo(np.int64).max)
 
 
 class ParseError(GraphError):
@@ -40,8 +37,10 @@ class ParseError(GraphError):
 
 def parse_edge_list(text: str) -> Graph:
     rows = _read_plain(text)
-    g = None if rows is None else _build(rows)
-    return _scan(text) if g is None else g
+    if rows is not None and len(rows) - 1 == rows[0, 1]:
+        with suppress(GraphError, MemoryError):  # the scan names the bad line
+            return build_graph(int(rows[0, 0]), rows[1:])
+    return _scan(text)
 
 
 def _read_plain(text: str) -> np.ndarray | None:
@@ -65,45 +64,15 @@ def _read_plain(text: str) -> np.ndarray | None:
     return rows if rows.shape[1] == 2 else None
 
 
-def _build(rows: np.ndarray) -> Graph | None:
-    """Check the header row and the edge rows with array operations.
-
-    Returns None if the header is bad, the edge count differs from it, an
-    edge is out of range, a self-loop or a duplicate, or n is above
-    ``_MAX_KEYED_N``. Every check runs before anything n long is allocated.
-    """
-    n, m = rows[0].tolist()
-    if n < 1 or len(rows) - 1 != m or n > _MAX_KEYED_N:
-        return None
-    pairs = rows[1:]
-    pairs.sort(axis=1)
-    lo, hi = pairs.T.tolist()
-    if max(hi, default=0) >= n:
-        return None
-    # one key per arc, u*n + v and v*n + u; sorted, they are the adjacency
-    # lists end to end, and a self-loop or a duplicate edge repeats a key
-    arcs = (pairs @ np.array([[n, 1], [1, n]])).ravel()
-    arcs.sort()
-    if np.count_nonzero(arcs[1:] == arcs[:-1]):
-        return None
-    degree = np.bincount(pairs.ravel(), minlength=n)
-    ends = list(accumulate(degree.tolist()))
-    nbrs = tuple((arcs % n).tolist())
-    with gc_paused():
-        adjacency = tuple(map(nbrs.__getitem__, map(slice, [0] + ends, ends)))
-        return Graph(n, tuple(zip(lo, hi)), adjacency)
-
-
 def _scan(text: str) -> Graph:
     """Parse ``text`` line by line.
 
     Raises :class:`ParseError` naming the first offending line in file
     order; a count mismatch is reported only when every line is clean.
     """
-    header = None
+    n = m = None
     edges = []
     seen = set()
-    n = m = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -115,8 +84,7 @@ def _scan(text: str) -> Graph:
             a, b = int(parts[0]), int(parts[1])
         except ValueError:
             raise ParseError(f"line {lineno}: expected two integers, got {raw!r}") from None
-        if header is None:
-            header = (a, b)
+        if n is None:
             n, m = a, b
             if n < 1 or m < 0:
                 raise ParseError(f"line {lineno}: bad header n={n} m={m}")
@@ -130,7 +98,7 @@ def _scan(text: str) -> Graph:
             raise ParseError(f"line {lineno}: duplicate edge ({a}, {b})")
         seen.add(key)
         edges.append((a, b))
-    if header is None:
+    if n is None:
         raise ParseError("line 1: missing 'n m' header")
     if len(edges) != m:
         raise ParseError(f"header declares m={m} edges but {len(edges)} were listed")

@@ -52,8 +52,6 @@ def gnm_connected(n: int, m: int, rng: RngOrSeed) -> Graph:
         raise GraphError(f"m={m} cannot connect n={n} vertices")
     if m > max_edges:
         raise GraphError(f"m={m} exceeds the {max_edges} possible edges")
-    if n == 1:
-        return build_graph(1, [])
 
     if n <= _REJECTION_VERTEX_LIMIT:
         for _ in range(_REJECTION_TRIES):

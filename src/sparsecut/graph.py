@@ -2,20 +2,28 @@
 
 Vertices are always 0..n-1. Graphs are simple (no self-loops, no parallel
 edges) and undirected. Adjacency lists are kept sorted ascending so every
-traversal in the package is reproducible. Colourings and tree paths all
-come from one breadth-first search over a vertex mask, :func:`_bfs`;
+traversal in the package is reproducible. Only :func:`build_graph` and
+:func:`induced_subgraph` make graphs. Colourings and tree paths all come
+from one breadth-first search over a vertex mask, :func:`_bfs`;
 :func:`connected_components` keeps a flag-only search of its own.
 """
 
 from __future__ import annotations
 
 import gc
+import math
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Container, Iterable, Optional, Sequence, Union
+from itertools import accumulate, chain
+from typing import Container, Iterable, NoReturn, Optional, Sequence, Union
+
+import numpy as np
 
 SIDE_A = 0
 SIDE_B = 1
+# The largest n for which the int64 arc keys u*n + v cannot overflow.
+_MAX_KEYED_N = math.isqrt(np.iinfo(np.int64).max)
 
 
 class GraphError(ValueError):
@@ -74,33 +82,58 @@ class gc_paused:
 
 
 def build_graph(n: int, edge_list: Sequence[tuple[int, int]]) -> Graph:
-    """Validate and build a :class:`Graph`.
+    """Validate and build a :class:`Graph` from (u, v) integer pairs or an (m, 2) array.
 
-    Rejects self-loops, duplicate edges and out-of-range endpoints; the
-    error message names the offending pair.
+    Edges keep their input order, each as (u, v) with u < v. Self-loops,
+    duplicate edges and out-of-range endpoints raise GraphError naming the
+    first offending pair, before anything n long is allocated; an n too
+    large for the int64 arc keys raises MemoryError.
     """
     if n < 1:
         raise GraphError(f"vertex count must be positive, got {n}")
+    if n > _MAX_KEYED_N:
+        raise MemoryError(f"n={n} is above {_MAX_KEYED_N}, the most the int64 arc keys allow")
+    try:
+        # numpy converts one flat list several times faster than a list of pairs
+        flat = edge_list if isinstance(edge_list, np.ndarray) else [*chain.from_iterable(edge_list)]
+        pairs = np.array(flat)
+        if pairs.ndim == 1 and set(map(len, edge_list)) <= {2}:
+            pairs = pairs.reshape(-1, 2)
+        if pairs.shape != (len(edge_list), 2) or pairs.size and pairs.dtype.kind not in "biu":
+            raise TypeError
+    except (TypeError, ValueError):
+        _raise_edge_error(n, edge_list)
+    pairs = pairs.astype(np.int64, copy=False)
+    pairs.sort(axis=1)
+    lo, hi = pairs.T.tolist()
+    if lo and (min(lo) < 0 or max(hi) >= n):
+        _raise_edge_error(n, edge_list)
+    # sorted, the arc keys u*n + v and v*n + u are the adjacency lists end to
+    # end, and a self-loop or a duplicate edge repeats a key
+    arcs = pairs.dot(((n, 1), (1, n))).ravel()
+    arcs.sort()
+    if np.count_nonzero(arcs[1:] == arcs[:-1]):
+        _raise_edge_error(n, edge_list)
+    ends = list(accumulate(np.bincount(pairs.ravel(), minlength=n).tolist()))
+    del pairs
+    nbrs = tuple((arcs % n).tolist())
     with gc_paused():
-        seen = set()
-        edges = []
-        adj = [[] for _ in range(n)]
-        for pair in edge_list:
-            u, v = pair
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphError(f"edge ({u}, {v}) out of range for n={n}")
-            if u == v:
-                raise GraphError(f"self-loop ({u}, {v}) is not allowed")
-            a, b = (u, v) if u < v else (v, u)
-            if (a, b) in seen:
-                raise GraphError(f"duplicate edge ({u}, {v})")
-            seen.add((a, b))
-            edges.append((a, b))
-            adj[a].append(b)
-            adj[b].append(a)
-        for lst in adj:
-            lst.sort()
-        return Graph(n, tuple(edges), tuple(tuple(lst) for lst in adj))
+        adjacency = tuple(map(nbrs.__getitem__, map(slice, [0] + ends, ends)))
+        return Graph(n, tuple(zip(lo, hi)), adjacency)
+
+
+def _raise_edge_error(n: int, edge_list) -> NoReturn:
+    """Raise the error that adding the pairs of ``edge_list`` one by one meets first."""
+    seen = set()
+    for u, v in edge_list:
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphError(f"edge ({u}, {v}) out of range for n={n}")
+        if u == v:
+            raise GraphError(f"self-loop ({u}, {v}) is not allowed")
+        if frozenset((u, v)) in seen:
+            raise GraphError(f"duplicate edge ({u}, {v})")
+        seen.add(frozenset((operator.index(u), operator.index(v))))
+    raise TypeError("edges must be pairs of integers")
 
 
 @dataclass(frozen=True)
@@ -264,6 +297,8 @@ def _validate_cycle(g: Graph, cycle: tuple[int, ...], length: int, want_odd: boo
         raise GraphError(f"cycle {cycle} has wrong parity")
     if len(set(cycle[:-1])) != length:
         raise GraphError(f"cycle {cycle} repeats a vertex")
+    if not all(0 <= v < g.n for v in cycle):
+        raise GraphError(f"cycle {cycle} has a vertex outside 0..{g.n - 1}")
     for i in range(length):
         if not g.has_edge(cycle[i], cycle[i + 1]):
             raise GraphError(f"cycle uses missing edge ({cycle[i]}, {cycle[i + 1]})")
@@ -394,8 +429,7 @@ def subgraph_from_edges(
     """
     ids = tuple(sorted(set(vertices)))
     index = {v: i for i, v in enumerate(ids)}
-    sub_edges = [(index[u], index[v]) for u, v in edges]
-    return build_graph(len(ids), sub_edges), ids
+    return build_graph(len(ids), [(index[u], index[v]) for u, v in edges]), ids
 
 
 def induced_subgraph(g: Graph, vertices: Sequence[int]) -> tuple[Graph, tuple[int, ...]]:

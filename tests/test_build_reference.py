@@ -1,0 +1,143 @@
+"""``build_graph`` against the edge-by-edge loop it replaced.
+
+``reference_build`` is the loop as it stood before ``build_graph`` moved to
+one sort of int64 arc keys, kept here unchanged apart from its name. For
+each input both must return equal graphs, or both must raise
+:class:`GraphError` with the same message; where the loop raises
+``TypeError`` or ``ValueError``, the array builder must raise too.
+"""
+
+from typing import Sequence
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from sparsecut import Graph, GraphError, build_graph
+from sparsecut.graph import gc_paused
+
+
+def reference_build(n: int, edge_list: Sequence[tuple[int, int]]) -> Graph:
+    """Validate and build a :class:`Graph`.
+
+    Rejects self-loops, duplicate edges and out-of-range endpoints; the
+    error message names the offending pair.
+    """
+    if n < 1:
+        raise GraphError(f"vertex count must be positive, got {n}")
+    with gc_paused():
+        seen = set()
+        edges = []
+        adj = [[] for _ in range(n)]
+        for pair in edge_list:
+            u, v = pair
+            if not (0 <= u < n and 0 <= v < n):
+                raise GraphError(f"edge ({u}, {v}) out of range for n={n}")
+            if u == v:
+                raise GraphError(f"self-loop ({u}, {v}) is not allowed")
+            a, b = (u, v) if u < v else (v, u)
+            if (a, b) in seen:
+                raise GraphError(f"duplicate edge ({u}, {v})")
+            seen.add((a, b))
+            edges.append((a, b))
+            adj[a].append(b)
+            adj[b].append(a)
+        for lst in adj:
+            lst.sort()
+        return Graph(n, tuple(edges), tuple(tuple(lst) for lst in adj))
+
+
+def outcome(build, n, edge_list):
+    try:
+        return build(n, edge_list)
+    except (TypeError, ValueError) as exc:
+        return exc
+
+
+# beyond int64 in both directions, and at its edges
+HUGE = [2**63, 2**64, 2**70, -(2**63) - 1, -(2**70), 2**63 - 1, -(2**63)]
+
+
+@st.composite
+def edge_lists(draw):
+    """(n, edge list): K_n edges in random order and orientation, sometimes
+    with bad pairs put in, as a list of tuples or lists, or as an array."""
+    n = draw(st.integers(1, 8))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.permutations(pairs))[: draw(st.integers(0, len(pairs)))]
+    edges = [(v, u) if draw(st.booleans()) else (u, v) for u, v in edges]
+    vertex = st.integers(0, n - 1)
+    bad_pair = st.one_of(
+        st.tuples(st.integers(-3, -1) | st.integers(n, n + 3) | st.sampled_from(HUGE), vertex),
+        vertex.map(lambda v: (v, v)),
+        st.sampled_from(edges or [(0, 0)]).map(lambda e: e[::-1]),
+        st.sampled_from(edges or [(0, 0)]),
+        st.tuples(st.sampled_from([1.5, 1.0, 0.0, float(n), -0.5, "1", "x"]), vertex),
+        st.tuples(vertex),
+        st.tuples(vertex, vertex, vertex),
+    )
+    for _ in range(draw(st.integers(0, 2))):
+        pair = draw(bad_pair)
+        if draw(st.booleans()):
+            pair = pair[::-1]
+        edges.insert(draw(st.integers(0, len(edges))), pair)
+    form = draw(st.sampled_from(["tuples", "lists", "array"]))
+    if form == "lists":
+        edges = [list(pair) for pair in edges]
+    elif form == "array" and all(len(p) == 2 and type(x) is int and abs(x) < 2**63
+                                 for p in edges for x in p):
+        edges = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    return n, edges
+
+
+def assert_same_outcome(n, edge_list):
+    want = outcome(reference_build, n, edge_list)
+    got = outcome(build_graph, n, edge_list)
+    if isinstance(want, Graph):
+        assert got == want
+        assert type(got.n) is int
+        assert all(type(x) is int for e in got.edges for x in e)
+        assert all(type(x) is int for nbrs in got.adjacency for x in nbrs)
+        assert type(got.edges) is tuple and all(type(e) is tuple for e in got.edges)
+        assert type(got.adjacency) is tuple and all(type(a) is tuple for a in got.adjacency)
+    elif isinstance(want, GraphError):
+        assert type(got) is GraphError and str(got) == str(want)
+    else:
+        assert isinstance(got, (TypeError, ValueError)) and not isinstance(got, Graph)
+
+
+@given(edge_lists())
+@settings(max_examples=1000)
+def test_build_matches_reference(case):
+    assert_same_outcome(*case)
+
+
+def test_build_matches_reference_on_named_cases():
+    cases = [
+        (1, []),
+        (3, []),
+        (3, np.empty((0, 2), dtype=np.int64)),
+        (4, [(3, 0), (1, 2), (0, 1)]),
+        (4, np.array([[3, 0], [1, 2], [0, 1]])),
+        (3, [(0, 1), (1, 0), (5, 0)]),
+        (3, [(5, 0), (1, 2, 3)]),
+        (3, [(0, 1), (1, 2, 3)]),
+        (3, [(0, 1, 2), (1, 2, 0)]),
+        (3, [(0,), (1,)]),
+        (3, [(0, 1.5)]),
+        (3, [(7.5, 0)]),
+        (3, [(0, 1), (1.0, 0)]),
+        (3, [(5, 0), ("1", 0)]),
+        (3, [("1", 0), (5, 0)]),
+        (3, [(0, 2**70)]),
+        (3, [(0, 2**63)]),
+        (3, [(-(2**63), 1)]),
+        (3, [(0, 1), (1, 0)]),
+        (3, [(1, 1)]),
+        (3, [((0, 1), (1, 2))]),
+        (3, [((0,), (1,))]),
+        (3, [5]),
+        (0, [(0, 1)]),
+        (-2, []),
+    ]
+    for n, edge_list in cases:
+        assert_same_outcome(n, edge_list)

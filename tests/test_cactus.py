@@ -58,6 +58,12 @@ def test_tree_even_distance_infeasible(path3):
     assert constrained_cactus_cut(path3, pa) is None
 
 
+@pytest.mark.parametrize("side_a, side_b, bad", [([-1], [], -1), ([5], [], 5), ([0], [3], 3)])
+def test_from_sets_rejects_vertex_out_of_range(side_a, side_b, bad):
+    with pytest.raises(GraphError, match=rf"^vertex {bad} out of range for n=3$"):
+        PartialAssignment.from_sets(3, side_a=side_a, side_b=side_b)
+
+
 def test_rejects_even_cycles(c4):
     with pytest.raises(GraphError, match="even cycle"):
         constrained_cactus_cut(c4, PartialAssignment.empty(4))

@@ -17,11 +17,12 @@ from sparsecut import (
     spanning_tree_cut,
     two_color,
 )
-from sparsecut.graph import subgraph_from_edges
+from sparsecut.graph import _MAX_KEYED_N, subgraph_from_edges
 from tests.conftest import random_connected_graph
 
 import dataclasses
 import random
+import tracemalloc
 
 
 # ---------------------------------------------------------------- build_graph
@@ -47,6 +48,33 @@ def test_build_rejects_duplicate():
 def test_build_rejects_out_of_range():
     with pytest.raises(GraphError, match="out of range"):
         build_graph(3, [(0, 3)])
+
+
+def peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    return peak
+
+
+def test_build_allocates_nothing_sized_by_n_before_its_checks():
+    def build():
+        with pytest.raises(GraphError, match=r"^edge \(0, 2000000\) out of range for n=2000000$"):
+            build_graph(2_000_000, [(0, 2_000_000)])
+
+    assert peak_bytes(build) < 1 << 20
+
+
+def test_build_refuses_n_beyond_int64_keys_without_allocating():
+    # a builder that allocates per vertex first would ask for ~3*10^9 lists here
+    def build():
+        with pytest.raises(MemoryError):
+            build_graph(_MAX_KEYED_N + 1, [(0, 1)])
+
+    assert peak_bytes(build) < 1 << 20
 
 
 def test_has_edge(k3, path3):
@@ -207,6 +235,17 @@ def test_theta_graph_even_witness():
     res = is_even_cycle_free(g)
     assert isinstance(res, EvenCycleWitness)
     res.validate(g)
+
+
+@pytest.mark.parametrize("witness", [
+    OddCycleWitness((3, 0, 1, 3), 3),
+    OddCycleWitness((0, 1, 3, 0), 3),
+    OddCycleWitness((-1, 0, 1, -1), 3),
+    EvenCycleWitness((0, 1, 2, 5, 0), 4),
+])
+def test_witness_with_vertex_outside_graph_is_invalid(k3, witness):
+    with pytest.raises(GraphError, match="outside 0..2"):
+        witness.validate(k3)
 
 
 def test_even_cycle_free_rejects_disconnected():

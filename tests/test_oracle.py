@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from sparsecut import (
     Cut,
+    OddCycleWitness,
     OracleCapError,
     PartialAssignment,
     build_graph,
@@ -239,6 +240,13 @@ def test_verify_rejects_inflated_cut(k3):
     fat = replace(res, cut=Cut(res.cut.n, res.cut.side, res.cut.size + 1))
     rep = verify_result(k3, fat)
     assert not rep.passed and not rep.cut_ok
+
+
+def test_verify_reports_witness_off_the_graph(k3):
+    res = thm1_approx(k3)
+    stray = replace(res, witnesses=(OddCycleWitness((3, 0, 1, 3), 3),))
+    rep = verify_result(k3, stray)
+    assert not rep.passed and not rep.witnesses_ok
 
 
 def test_verify_rejects_bogus_upper_bound(k3):

@@ -7,7 +7,7 @@ odd cycles bounding the maximum cut from above and an exact rational lower
 bound on the cut produced.
 """
 
-from .cactus import PartialAssignment, constrained_cactus_cut, piece_feasible
+from .cactus import PartialAssignment, constrained_cactus_cut
 from .decompose import (
     KIND_CB_GRAPH,
     KIND_IOC_TREE,
@@ -52,12 +52,10 @@ from .graph import (
     dfs_tree,
     induced_subgraph,
     is_even_cycle_free,
-    spanning_tree_cut,
     two_color,
 )
 from .maxcut import (
     ApproxResult,
-    component_max_cut,
     greedy_merge,
     thm1_approx,
 )
@@ -97,7 +95,6 @@ __all__ = [
     "ValidationReport",
     "auto_approx",
     "build_graph",
-    "component_max_cut",
     "connected_components",
     "constrained_cactus_cut",
     "constrained_exact",
@@ -113,12 +110,10 @@ __all__ = [
     "merge_tail",
     "odd_cycle_certificates",
     "parse_edge_list",
-    "piece_feasible",
     "random_cactus",
     "random_max_deg",
     "random_regular",
     "random_subcubic",
-    "spanning_tree_cut",
     "thm1_approx",
     "thm2_approx",
     "thm3_approx",

@@ -72,32 +72,18 @@ class PartialAssignment:
         return all(s is None or cut.side[v] == s for v, s in enumerate(self.side))
 
 
-def piece_feasible(
-    g: Graph,
-    piece: Component,
-    root_side: int,
-    constraints: Sequence[Optional[int]],
-) -> Optional[dict[int, int]]:
-    """Assignment of an IOC piece losing exactly one edge on its odd cycle.
-
-    The piece is the component's induced tree plus its root and the two
-    recorded root edges. Off-cycle piece edges are bridges of the piece
-    and must all be cut, which projects every constraint onto the cycle;
-    the cycle then needs exactly one "defect" edge, placed in the unique
-    gap between consecutive constrained cycle positions whose parity
-    relation fails. Returns vertex -> side for the piece (including the
-    root) or None when infeasible.
-    """
-    return _ring_assign(piece, _piece_ring(g, piece), root_side, constraints)
-
-
 # root r, odd cycle length L, and for every piece vertex the ring position
 # of the cycle vertex it hangs from and the parity of its distance to it
 _Ring = tuple[int, int, dict[int, tuple[int, int]]]
 
 
 def _piece_ring(g: Graph, piece: Component) -> _Ring:
-    """The part of :func:`piece_feasible` that no constraint changes."""
+    """The ring of an IOC piece: what :func:`_ring_assign` needs before any constraint.
+
+    The piece is the component's induced tree plus its root and the two
+    recorded root edges; its one odd cycle runs from the root through both
+    root edges.
+    """
     if piece.kind != KIND_IOC_TREE or len(piece.roots) != 1 or len(piece.root_edges) != 2:
         raise GraphError("piece must be an IOC tree with one root and two root edges")
     r = piece.roots[0]
@@ -127,7 +113,15 @@ def _piece_ring(g: Graph, piece: Component) -> _Ring:
 def _ring_assign(
     piece: Component, ring: _Ring, root_side: int, constraints: Sequence[Optional[int]]
 ) -> Optional[dict[int, int]]:
-    """:func:`piece_feasible` on a piece whose ring is already known."""
+    """Assignment of an IOC piece losing exactly one edge on its odd cycle.
+
+    Off-cycle piece edges are bridges of the piece and must all be cut,
+    which projects every constraint onto the cycle; the cycle then needs
+    exactly one "defect" edge, placed in the unique gap between consecutive
+    constrained cycle positions whose parity relation fails. Returns
+    vertex -> side for the piece (including the root, on ``root_side``) or
+    None when infeasible.
+    """
     r, L, hang = ring
     # project constraints onto cycle positions
     want: dict[int, int] = {0: root_side}
@@ -174,13 +168,6 @@ def _ring_assign(
         p, flip = hang[v]
         out[v] = colors[p] ^ flip
     return out
-
-
-def _tree_full_cut(
-    g: Graph, verts: Sequence[int], constraints: Sequence[Optional[int]]
-) -> Optional[dict[int, int]]:
-    """2-coloring of an induced tree cutting every induced edge, or None."""
-    return _orient_tree(_tree_parity(g, verts), constraints)
 
 
 def _tree_parity(g: Graph, verts: Sequence[int]) -> dict[int, int]:

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .graph import Graph, GraphError, OddCycleWitness, _bfs, _bfs_parts, dfs_tree
+from .graph import DfsTree, Graph, GraphError, OddCycleWitness, _bfs, _bfs_parts, dfs_tree
 
 KIND_IOC_TREE = "ioc_tree"
 KIND_CB_GRAPH = "cb_graph"
@@ -62,9 +62,16 @@ class Component:
 
 @dataclass(frozen=True)
 class Decomposition:
-    """Ordered components H_1..H_t partitioning the vertex set."""
+    """Ordered components H_1..H_t partitioning the vertex set.
+
+    ``tree`` is the DFS tree that :func:`tree_bipartite_decompose` swept, so
+    later steps can read its depths instead of searching the graph again;
+    it is None for a decomposition built from its components alone, and
+    takes no part in comparison.
+    """
 
     components: tuple[Component, ...]
+    tree: Optional[DfsTree] = field(default=None, compare=False, repr=False)
 
     @property
     def t(self) -> int:
@@ -166,7 +173,7 @@ def tree_bipartite_decompose(g: Graph) -> Decomposition:
     ]
     if remaining:
         components.append(Component(KIND_TREE, tuple(remaining)))
-    return Decomposition(tuple(components))
+    return Decomposition(tuple(components), t)
 
 
 @dataclass

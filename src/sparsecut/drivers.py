@@ -40,7 +40,6 @@ from .graph import (
     _bfs_parts,
     induced_subgraph,
     is_even_cycle_free,
-    spanning_tree_cut,
     subgraph_from_edges,
     two_color,
 )
@@ -51,6 +50,7 @@ from .maxcut import (
     ApproxResult,
     _cb_surplus,
     _certified,
+    _merge_bound,
     greedy_merge,
     thm1_approx,
     thm1_from_decomposition,
@@ -194,19 +194,19 @@ def _strict_bound_result(
     cycle packing, so max cut <= m - len(witnesses) - 1 and the certified
     ratio climbs to at least 1/2 + n/(2m).
     """
-    base = thm1_from_decomposition(g, d)
+    cut, x, c, lower = _merge_bound(g, d)
     upper = g.m - len(all_witnesses) - 1
     if upper <= 0:
         raise GraphError("strict certificate would make the instance trivially cut-free")
     return _certified(
-        g, base.cut, tuple(all_witnesses), base.lower_bound, upper,
-        x=base.x, c=base.c, algorithm=driver, driver=driver, method=method,
+        g, cut, tuple(all_witnesses), lower, upper,
+        x=x, c=c, algorithm=driver, driver=driver, method=method,
     )
 
 
 def _exact_cactus_result(g: Graph, d: Decomposition, y: int, cycles, driver: str) -> ApproxResult:
-    """Whole graph has no even cycle: the parity cut of a spanning tree is optimal."""
-    cut = spanning_tree_cut(g)
+    """Whole graph has no even cycle: the depth parity cut of ``d``'s DFS tree is optimal."""
+    cut = Cut.from_sides(g, [depth & 1 for depth in d.tree.depth])
     if not (cut.size == g.n - 1 == g.m - y):
         raise AssertionError("even-cycle-free graph's spanning tree cut is not maximum")
     lower = Fraction(g.n - 1)

@@ -2,8 +2,10 @@
 
 Vertices are always 0..n-1. Graphs are simple (no self-loops, no parallel
 edges) and undirected. Adjacency lists are kept sorted ascending so every
-traversal in the package is reproducible. Only :func:`build_graph` and
-:func:`induced_subgraph` make graphs. Colourings and tree paths all come
+traversal in the package is reproducible. :func:`build_graph` is the one
+validated constructor; :func:`induced_subgraph` and
+:func:`subgraph_from_edges` relabel trusted edges of a graph it built,
+with no second validation. Colourings and tree paths all come
 from one breadth-first search over a vertex mask, :func:`_bfs`;
 :func:`connected_components` keeps a flag-only search of its own.
 """
@@ -384,17 +386,6 @@ def _odd_cycle_from_conflict(parent, u, w) -> OddCycleWitness:
     return OddCycleWitness.from_vertices(cycle)
 
 
-def spanning_tree_cut(g: Graph) -> Cut:
-    """Cut from 2-coloring a DFS spanning tree by depth parity.
-
-    On a connected graph with no even cycles this cut has size exactly
-    n - 1 = m - y where y is the number of (edge-disjoint) odd cycles:
-    every non-tree edge closes an odd cycle and is therefore uncut.
-    """
-    t = dfs_tree(g, 0)
-    return Cut.from_sides(g, [d & 1 for d in t.depth])
-
-
 def connected_components(g: Graph) -> list[list[int]]:
     """Vertex lists of the connected components, each sorted ascending.
 
@@ -424,12 +415,29 @@ def subgraph_from_edges(
 ) -> tuple[Graph, tuple[int, ...]]:
     """Graph on an explicit vertex/edge set, relabeled to 0..k-1.
 
+    Trusts its input, as :func:`induced_subgraph` does: ``edges`` must be
+    distinct edges of a validated graph with both ends among ``vertices``.
+    The edges keep their input order, each as (i, j) with i < j, and every
+    adjacency list is sorted, as :func:`build_graph` would give them.
     Returns the relabeled graph and the sorted original ids; original id of
     sub-vertex i is ``ids[i]``.
     """
     ids = tuple(sorted(set(vertices)))
+    if not ids:
+        raise GraphError("vertex count must be positive, got 0")
     index = {v: i for i, v in enumerate(ids)}
-    return build_graph(len(ids), [(index[u], index[v]) for u, v in edges]), ids
+    nbrs: list[list[int]] = [[] for _ in ids]
+    sub_edges = []
+    for u, v in edges:
+        i, j = index[u], index[v]
+        if i > j:
+            i, j = j, i
+        sub_edges.append((i, j))
+        nbrs[i].append(j)
+        nbrs[j].append(i)
+    for a in nbrs:
+        a.sort()
+    return Graph(len(ids), tuple(sub_edges), tuple(map(tuple, nbrs))), ids
 
 
 def induced_subgraph(g: Graph, vertices: Sequence[int]) -> tuple[Graph, tuple[int, ...]]:

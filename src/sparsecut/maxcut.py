@@ -151,22 +151,6 @@ def _color_piece(
     return queue, internal, keep, flip
 
 
-def component_max_cut(g: Graph, comp: Component) -> dict[int, int]:
-    """Optimal cut of one component's induced subgraph.
-
-    Returns a vertex -> side mapping anchored at the smallest vertex on
-    SIDE_A. Cuts every induced edge: trees and IOC trees are trees, CB
-    pieces are bipartite. Raises if the induced subgraph violates the
-    component's kind.
-    """
-    idx = [-1] * g.n
-    for v in comp.vertices:
-        idx[v] = 0
-    side: list[Optional[int]] = [None] * g.n
-    queue = _color_piece(g, idx, 0, comp, side)[0]
-    return {v: side[v] for v in queue}  # type: ignore[misc]
-
-
 def greedy_merge(
     g: Graph,
     d: Decomposition | Sequence[Component],
@@ -267,15 +251,25 @@ def thm1_approx(g: Graph) -> ApproxResult:
 
 
 def thm1_from_decomposition(g: Graph, d: Decomposition) -> ApproxResult:
+    cut, x, c, lower = _merge_bound(g, d)
+    witnesses = odd_cycle_certificates(g, d)
+    return _certified(
+        g, cut, witnesses, lower, g.m - x, x, c,
+        algorithm=ALGO_THM1, driver=ALGO_THM1, method="decomposition_merge",
+    )
+
+
+def _merge_bound(g: Graph, d: Decomposition) -> tuple[Cut, int, int, Fraction]:
+    """The plain merge cut of ``d`` with x, c and the lower bound it certifies.
+
+    x counts the IOC pieces, one odd-cycle witness each, and c is the CB
+    surplus; the bound is (m + n + c - x - 1)/2 with a tree tail and
+    (m + n + c - x)/2 with a CB tail.
+    """
     counts: list[int] = []
     cut = greedy_merge(g, d, edge_counts=counts)
-    witnesses = odd_cycle_certificates(g, d)
-    x = len(witnesses)
+    x = d.ioc_count()
     c = _cb_surplus(d.components, counts)
     tail_is_tree = d.components[-1].kind == KIND_TREE
     lower = Fraction(g.m + g.n + c - x - (1 if tail_is_tree else 0), 2)
-    upper = g.m - x
-    return _certified(
-        g, cut, witnesses, lower, upper, x, c,
-        algorithm=ALGO_THM1, driver=ALGO_THM1, method="decomposition_merge",
-    )
+    return cut, x, c, lower

@@ -26,7 +26,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .graph import SIDE_A, Cut, Graph, GraphError, cut_size
+from .graph import SIDE_A, SIDE_B, Cut, Graph, GraphError, cut_size
 
 ORACLE_MAX_VERTICES = 26
 _CHUNK_BITS = 20
@@ -184,10 +184,14 @@ def _witnesses_edge_disjoint(witnesses) -> bool:
 
 
 def verify_result(g: Graph, result, instance: str = "") -> RatioReport:
-    """Check an approximation result against the exhaustive oracle."""
+    """Check an approximation result against the exhaustive oracle; a malformed cut fails."""
     mc = exact_max_cut(g).size
     cut = result.cut
-    cut_ok = cut_size(g, cut) == cut.size and cut.size <= mc
+    cut_ok = (
+        len(cut.side) == g.n
+        and all(s in (SIDE_A, SIDE_B) for s in cut.side)
+        and cut_size(g, cut) == cut.size <= mc
+    )
 
     witnesses_ok = _witnesses_edge_disjoint(result.witnesses)
     for w in result.witnesses:

@@ -1,19 +1,27 @@
-"""``build_graph`` against the edge-by-edge loop it replaced.
+"""``build_graph`` against the edge-by-edge loop it replaced, and the
+trusted ``subgraph_from_edges`` against the validated build it replaced.
 
 ``reference_build`` is the loop as it stood before ``build_graph`` moved to
 one sort of int64 arc keys, kept here unchanged apart from its name. For
 each input both must return equal graphs, or both must raise
 :class:`GraphError` with the same message; where the loop raises
 ``TypeError`` or ``ValueError``, the array builder must raise too.
+
+``reference_subgraph_from_edges`` is ``subgraph_from_edges`` as it stood
+while it validated its edges again through ``build_graph``, kept unchanged
+apart from its name. On distinct edges of a graph, among the given
+vertices, both must return equal graphs of plain ints and the same ids.
 """
 
+import random
 from typing import Sequence
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from sparsecut import Graph, GraphError, build_graph
-from sparsecut.graph import gc_paused
+from sparsecut.graph import gc_paused, subgraph_from_edges
+from tests.conftest import random_connected_graph
 
 
 def reference_build(n: int, edge_list: Sequence[tuple[int, int]]) -> Graph:
@@ -44,6 +52,19 @@ def reference_build(n: int, edge_list: Sequence[tuple[int, int]]) -> Graph:
         for lst in adj:
             lst.sort()
         return Graph(n, tuple(edges), tuple(tuple(lst) for lst in adj))
+
+
+def reference_subgraph_from_edges(
+    vertices: Sequence[int], edges: Sequence[tuple[int, int]]
+) -> tuple[Graph, tuple[int, ...]]:
+    """Graph on an explicit vertex/edge set, relabeled to 0..k-1.
+
+    Returns the relabeled graph and the sorted original ids; original id of
+    sub-vertex i is ``ids[i]``.
+    """
+    ids = tuple(sorted(set(vertices)))
+    index = {v: i for i, v in enumerate(ids)}
+    return build_graph(len(ids), [(index[u], index[v]) for u, v in edges]), ids
 
 
 def outcome(build, n, edge_list):
@@ -89,16 +110,20 @@ def edge_lists(draw):
     return n, edges
 
 
+def assert_plain_graph(g: Graph) -> None:
+    assert type(g.n) is int
+    assert all(type(x) is int for e in g.edges for x in e)
+    assert all(type(x) is int for nbrs in g.adjacency for x in nbrs)
+    assert type(g.edges) is tuple and all(type(e) is tuple for e in g.edges)
+    assert type(g.adjacency) is tuple and all(type(a) is tuple for a in g.adjacency)
+
+
 def assert_same_outcome(n, edge_list):
     want = outcome(reference_build, n, edge_list)
     got = outcome(build_graph, n, edge_list)
     if isinstance(want, Graph):
         assert got == want
-        assert type(got.n) is int
-        assert all(type(x) is int for e in got.edges for x in e)
-        assert all(type(x) is int for nbrs in got.adjacency for x in nbrs)
-        assert type(got.edges) is tuple and all(type(e) is tuple for e in got.edges)
-        assert type(got.adjacency) is tuple and all(type(a) is tuple for a in got.adjacency)
+        assert_plain_graph(got)
     elif isinstance(want, GraphError):
         assert type(got) is GraphError and str(got) == str(want)
     else:
@@ -141,3 +166,19 @@ def test_build_matches_reference_on_named_cases():
     ]
     for n, edge_list in cases:
         assert_same_outcome(n, edge_list)
+
+
+@given(st.integers(0, 10_000), st.integers(1, 14), st.integers(0, 30), st.data())
+@settings(max_examples=500)
+def test_subgraph_from_edges_matches_reference(seed, n, extra, data):
+    rng = random.Random(seed)
+    g = random_connected_graph(rng, n, n - 1 + extra)
+    vertices = data.draw(st.lists(st.integers(0, n - 1), min_size=1))
+    inside = set(vertices)
+    among = [e for e in g.edges if e[0] in inside and e[1] in inside]
+    edges = data.draw(st.permutations(among))[: data.draw(st.integers(0, len(among)))]
+    edges = [(v, u) if data.draw(st.booleans()) else (u, v) for u, v in edges]
+    got, ids = subgraph_from_edges(vertices, edges)
+    assert (got, ids) == reference_subgraph_from_edges(vertices, edges)
+    assert_plain_graph(got)
+    assert all(type(v) is int for v in ids)

@@ -13,11 +13,11 @@ from sparsecut import (
     constrained_cactus_cut,
     constrained_exact,
     is_even_cycle_free,
-    piece_feasible,
     random_cactus,
-    spanning_tree_cut,
+    thm2_approx,
     tree_bipartite_decompose,
 )
+from sparsecut import cactus
 
 
 def odd_cycle_count(g):
@@ -81,7 +81,9 @@ def test_unconstrained_always_succeeds_and_matches_spanning_cut():
         g = random_cactus(rng.randint(2, 20), odd_only=True, rng=rng)
         cut = constrained_cactus_cut(g, PartialAssignment.empty(g.n))
         assert cut is not None
-        assert cut.size == g.n - 1 == spanning_tree_cut(g).size
+        r = thm2_approx(g)
+        assert r.method == "spanning_tree_exact"
+        assert cut.size == g.n - 1 == r.cut.size
 
 
 @given(st.integers(0, 1_000_000), st.integers(2, 14), st.floats(0.0, 0.9))
@@ -118,7 +120,12 @@ def test_unfixing_preserves_feasibility(seed, n):
     assert constrained_cactus_cut(g, PartialAssignment(tuple(relaxed))) is not None
 
 
-# ---------------------------------------------------------------- piece_feasible
+# ------------------------------------------------------- IOC piece assignment
+
+def ring_assign(g, piece, root_side, constraints):
+    """A piece's assignment as the constrained cut makes it: its ring, then the constraints."""
+    return cactus._ring_assign(piece, cactus._piece_ring(g, piece), root_side, constraints)
+
 
 def triangle_piece():
     # piece vertices {1, 2} with root 0; odd cycle 0-1-2-0
@@ -150,21 +157,21 @@ def enumerate_piece(g, comp, root_side, constraints):
 
 def test_triangle_piece_free(k3):
     g, comp = triangle_piece()
-    res = piece_feasible(g, comp, 0, [None, None, None])
+    res = ring_assign(g, comp, 0, [None, None, None])
     assert res is not None
     assert enumerate_piece(g, comp, 0, [None, None, None])
 
 
 def test_triangle_piece_both_nonroot_on_root_side():
     g, comp = triangle_piece()
-    res = piece_feasible(g, comp, 0, [None, 0, 0])
+    res = ring_assign(g, comp, 0, [None, 0, 0])
     assert res is None
     assert enumerate_piece(g, comp, 0, [None, 0, 0]) == []
 
 
 def test_triangle_piece_split_constraint():
     g, comp = triangle_piece()
-    res = piece_feasible(g, comp, 0, [None, 1, None])
+    res = ring_assign(g, comp, 0, [None, 1, None])
     assert res is not None
     uncut = [
         e for e in [(0, 1), (1, 2), (2, 0)] if res[e[0]] == res[e[1]]
@@ -182,7 +189,7 @@ def test_offcycle_parity_conflict_infeasible():
     # vertices 3 and 4 are adjacent (odd distance) off the cycle: same side
     # would leave an off-cycle edge uncut
     constraints = [None, None, None, 1, 1, None]
-    assert piece_feasible(g, comp, 0, constraints) is None
+    assert ring_assign(g, comp, 0, constraints) is None
     assert enumerate_piece(g, comp, 0, constraints) == []
 
 
@@ -202,7 +209,7 @@ def test_piece_feasible_matches_enumeration():
         ]
         root_side = rng.randint(0, 1)
         constraints[comp.roots[0]] = None
-        got = piece_feasible(g, comp, root_side, constraints)
+        got = ring_assign(g, comp, root_side, constraints)
         ref = enumerate_piece(g, comp, root_side, constraints)
         assert (got is not None) == bool(ref)
         if got is not None:
@@ -217,4 +224,4 @@ def test_piece_feasible_matches_enumeration():
 def test_piece_feasible_rejects_malformed(k3):
     comp = Component(KIND_IOC_TREE, (1, 2), roots=(0,), root_edges=((0, 1), (0, 1)))
     with pytest.raises(GraphError):
-        piece_feasible(k3, comp, 0, [None] * 3)
+        ring_assign(k3, comp, 0, [None] * 3)

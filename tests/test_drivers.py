@@ -23,6 +23,7 @@ from sparsecut import (
 )
 from tests.conftest import random_connected_graph
 from tests.test_edgelist_cli import count_calls
+from tests.test_golden_outputs import DRIVERS, GOLDEN
 
 
 # ------------------------------------------------------------------ merge_tail
@@ -101,6 +102,33 @@ def test_thm2_tail_path_builds_a_fixed_number_of_graphs(monkeypatch, make, metho
     assert len(even_checks) <= 1
     assert len(induced) <= 1
     assert len(builds) <= 1
+
+
+# Reuse guard: a thm2/thm3 result takes its cut parities, certificates and
+# tail graphs from the run's own decomposition of g. The golden cases cover
+# every method; searches of tail and piece subgraphs are not counted.
+TAIL_GOLDEN = sorted(key for key in GOLDEN if key[2] != "thm1")
+
+
+@pytest.mark.parametrize("m, seed, driver", TAIL_GOLDEN, ids=str)
+def test_tail_result_reuses_the_runs_work(monkeypatch, m, seed, driver):
+    g = gnm_connected(10, m, seed)
+    builds = count_calls(monkeypatch, "build_graph")
+    dfs = count_calls(monkeypatch, "dfs_tree")
+    decompositions = count_calls(monkeypatch, "tree_bipartite_decompose", "decompose")
+    certificates = count_calls(monkeypatch, "odd_cycle_certificates", "decompose")
+    assert DRIVERS[driver](g).method == GOLDEN[(m, seed, driver)][0]
+    assert builds == []
+    assert len(certificates) <= 1
+    assert sum(args[0] is g for args in decompositions) == 1
+    assert sum(args[0] is g for args in dfs) == 1
+
+
+def test_thm2_on_an_odd_cactus_makes_one_dfs(monkeypatch):
+    g = random_cactus(2000, True, 1)
+    dfs = count_calls(monkeypatch, "dfs_tree")
+    assert thm2_approx(g).method == "spanning_tree_exact"
+    assert len(dfs) == 1
 
 
 # ------------------------------------------------------------------------ thm2

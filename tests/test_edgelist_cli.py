@@ -9,12 +9,12 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import sparsecut.graph
 from sparsecut import (
     ParseError,
     build_graph,
     gnm_connected,
     parse_edge_list,
+    random_cactus,
     write_edge_list,
 )
 from sparsecut.cli import _ALGOS, BenchConfig, _write_json, run_bench, run_cli
@@ -369,9 +369,9 @@ def test_cli_disconnected_split(tmp_path, capsys):
     assert data["mc"] == 4
 
 
-def count_calls(monkeypatch, name):
-    """Count calls of the ``sparsecut.graph`` function ``name`` from every module."""
-    orig = getattr(sparsecut.graph, name)
+def count_calls(monkeypatch, name, module="graph"):
+    """Count calls of the ``sparsecut.<module>`` function ``name`` from every module."""
+    orig = getattr(sys.modules[f"sparsecut.{module}"], name)
     calls = []
 
     def counted(*args, **kwargs):
@@ -384,15 +384,19 @@ def count_calls(monkeypatch, name):
     return calls
 
 
-@pytest.mark.parametrize("algo", ["thm1", "thm2", "thm3", "auto"])
-def test_cli_approx_traverses_connected_input_once(tmp_path, capsys, monkeypatch, algo):
-    g = gnm_connected(60, 100, 3)
+# thm2 on the odd cactus takes the spanning_tree_exact branch, which reads
+# the decomposition's DFS tree
+@pytest.mark.parametrize("algo, odd_cactus", [
+    *[pytest.param(algo, False, id=algo) for algo in ("thm1", "thm2", "thm3", "auto")],
+    *[pytest.param(algo, True, id=f"{algo}_odd_cactus") for algo in ("thm1", "thm2", "thm3", "auto")],
+])
+def test_cli_approx_traverses_connected_input_once(tmp_path, capsys, monkeypatch, algo, odd_cactus):
+    g = random_cactus(60, True, 3) if odd_cactus else gnm_connected(60, 100, 3)
     path = write_graph(tmp_path, "g.txt", g)
     components = count_calls(monkeypatch, "connected_components")
     dfs = count_calls(monkeypatch, "dfs_tree")
     code, data = run_json(capsys, ["approx", path, "--algo", algo])
     assert code == 0 and data["n"] == 60 and "components" not in data
-    assert data["method"] != "spanning_tree_exact"  # that branch takes a second DFS
     assert len(components) == 0
     # the tail cases also search subgraphs of the input; only one DFS
     # covers the whole graph

@@ -14,10 +14,11 @@ from sparsecut import (
     exact_max_cut,
     induced_subgraph,
     is_even_cycle_free,
-    spanning_tree_cut,
+    thm2_approx,
     two_color,
 )
 from sparsecut.graph import _MAX_KEYED_N, subgraph_from_edges
+from tests.test_build_reference import reference_subgraph_from_edges
 from tests.conftest import random_connected_graph
 
 import dataclasses
@@ -275,7 +276,15 @@ def test_even_cycle_free_dichotomy(seed, n, extra):
             used |= w.edge_set()
 
 
-# ------------------------------------------------------------ spanning_tree_cut
+# ------------------------------------------------ thm2's spanning tree cut
+
+def spanning_tree_cut(g):
+    """thm2's cut of an even-cycle-free graph: depth parities of its DFS tree."""
+    r = thm2_approx(g)
+    assert r.method == "spanning_tree_exact"
+    assert r.cut.side == tuple(d & 1 for d in dfs_tree(g, 0).depth)
+    return r.cut
+
 
 def test_spanning_tree_cut_tree(star4):
     assert spanning_tree_cut(star4).size == 3
@@ -320,9 +329,11 @@ def test_induced_subgraph_matches_a_rebuild(seed, n, extra, data):
     vertices = data.draw(st.lists(st.integers(0, n - 1), min_size=1))
     inside = set(vertices)
     edges = sorted(e for e in g.edges if e[0] in inside and e[1] in inside)
-    assert induced_subgraph(g, vertices) == subgraph_from_edges(vertices, edges)
+    assert induced_subgraph(g, vertices) == reference_subgraph_from_edges(vertices, edges)
 
 
 def test_induced_subgraph_rejects_empty_vertex_set(k3):
     with pytest.raises(GraphError, match="^vertex count must be positive, got 0$"):
         induced_subgraph(k3, [])
+    with pytest.raises(GraphError, match="^vertex count must be positive, got 0$"):
+        subgraph_from_edges([], [])

@@ -12,7 +12,6 @@ from sparsecut import (
     KIND_IOC_TREE,
     KIND_TREE,
     build_graph,
-    component_max_cut,
     cut_size,
     exact_max_cut,
     greedy_merge,
@@ -20,6 +19,7 @@ from sparsecut import (
     tree_bipartite_decompose,
     verify_result,
 )
+from sparsecut.maxcut import _color_piece
 from tests.conftest import random_connected_graph
 
 
@@ -31,6 +31,16 @@ def induced_cut_edges(g, comp, side):
 
 
 # ------------------------------------------------------------ component cuts
+
+def component_max_cut(g, comp):
+    """The merge's colouring of one piece, before any flip, from its smallest vertex."""
+    idx = [-1] * g.n
+    for v in comp.vertices:
+        idx[v] = 0
+    side = [None] * g.n
+    queue = _color_piece(g, idx, 0, comp, side)[0]
+    return {v: side[v] for v in queue}
+
 
 def test_tree_component_cut(path3):
     comp = Component(KIND_TREE, (0, 1, 2))

@@ -242,6 +242,23 @@ def test_verify_rejects_inflated_cut(k3):
     assert not rep.passed and not rep.cut_ok
 
 
+@pytest.mark.parametrize("malform", [
+    lambda side: side[:-1],
+    lambda side: side + (0,),
+    lambda side: tuple(5 if s else 0 for s in side),
+    lambda side: tuple(-1 if s else 0 for s in side),
+], ids=["short", "long", "side_5", "side_minus_1"])
+def test_verify_reports_malformed_cut(k3, malform):
+    # the cached size is the recount of the malformed sides, as far as
+    # they reach, so only the sides themselves can fail the cut
+    res = thm1_approx(k3)
+    side = malform(res.cut.side)
+    size = sum(1 for u, v in k3.edges if u < len(side) and v < len(side) and side[u] != side[v])
+    rep = verify_result(k3, replace(res, cut=Cut(len(side), side, size)))
+    assert not rep.passed and not rep.cut_ok
+    assert rep.witnesses_ok and rep.upper_bound_ok
+
+
 def test_verify_reports_witness_off_the_graph(k3):
     res = thm1_approx(k3)
     stray = replace(res, witnesses=(OddCycleWitness((3, 0, 1, 3), 3),))

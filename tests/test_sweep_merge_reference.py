@@ -8,7 +8,9 @@ filed each back edge under its child subtree before ``dfs_tree`` did so
 while it walks. All three are kept here unchanged apart from their names,
 so that every decomposition, back-edge filing, cut and per-piece induced
 edge count of the library can be compared with them, as
-``reference_parse`` does for the edge-list parser.
+``reference_parse`` does for the edge-list parser. The library's
+``component_max_cut`` is gone; ``tests/test_maxcut.py`` keeps it as the
+merge's own colouring of one piece, ``maxcut._color_piece``.
 """
 
 import random
@@ -27,7 +29,6 @@ from sparsecut import (
     KIND_TREE,
     SIDE_A,
     build_graph,
-    component_max_cut,
     dfs_tree,
     gnm_connected,
     greedy_merge,
@@ -37,6 +38,7 @@ from sparsecut import (
     tree_bipartite_decompose,
 )
 from sparsecut.maxcut import cb_surplus, component_edge_counts
+from tests.test_maxcut import component_max_cut
 
 
 def _find(uf: list[int], v: int) -> int:

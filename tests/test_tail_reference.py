@@ -9,20 +9,30 @@ result counted the CB surplus with ``cb_surplus``. They are kept here
 unchanged apart from their names, so that the library's tail states,
 results and constrained cuts can be compared with them, as
 ``tests/test_traversal_reference.py`` does for the traversals.
+
+The library helpers those references call that have since been deleted or
+rewritten are copied here too, unchanged, under their own names:
+``piece_feasible``, ``_tree_full_cut`` and ``spanning_tree_cut`` (deleted),
+``_exact_cactus_result`` (now reads the decomposition's DFS tree),
+``_strict_bound_result`` and ``thm1_from_decomposition`` (now share one
+merge-bound helper), and ``subgraph_from_edges`` (now a trusted relabel;
+its validating copy lives in ``tests/test_build_reference.py``).
 """
 
 import random
 from dataclasses import replace
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from sparsecut import (
+    Component,
     Cut,
     Decomposition,
     EvenCycleWitness,
+    Graph,
     GraphError,
     KIND_CB_GRAPH,
     KIND_IOC_TREE,
@@ -38,34 +48,125 @@ from sparsecut import (
     is_even_cycle_free,
     merge_tail,
     odd_cycle_certificates,
-    piece_feasible,
     random_cactus,
     random_subcubic,
     thm2_approx,
     thm3_approx,
     tree_bipartite_decompose,
 )
-from sparsecut.cactus import _tree_full_cut, analyse_cactus
+from sparsecut.cactus import _orient_tree, _piece_ring, _ring_assign, _tree_parity, analyse_cactus
 from sparsecut.drivers import (
     TAIL_CB,
     TAIL_ODD_CACTUS,
     TAIL_TREE,
     TailState,
     _bipartition_assignment,
-    _exact_cactus_result,
     _neighbor,
     _ring_colourings,
-    _strict_bound_result,
 )
-from sparsecut.graph import _bfs, subgraph_from_edges
+from sparsecut.graph import _bfs, dfs_tree
 from sparsecut.maxcut import (
+    ALGO_EXACT_SPECIAL,
+    ALGO_THM1,
     ALGO_THM2,
     ALGO_THM3,
+    ApproxResult,
+    _cb_surplus,
     _certified,
     cb_surplus,
-    thm1_from_decomposition,
 )
+from tests.test_build_reference import reference_subgraph_from_edges as subgraph_from_edges
 from tests.test_sweep_merge_reference import _relabel
+
+
+# ------------------------------------------------- library helpers, as they were
+
+def piece_feasible(
+    g: Graph,
+    piece: Component,
+    root_side: int,
+    constraints: Sequence[Optional[int]],
+) -> Optional[dict[int, int]]:
+    """Assignment of an IOC piece losing exactly one edge on its odd cycle.
+
+    The piece is the component's induced tree plus its root and the two
+    recorded root edges. Off-cycle piece edges are bridges of the piece
+    and must all be cut, which projects every constraint onto the cycle;
+    the cycle then needs exactly one "defect" edge, placed in the unique
+    gap between consecutive constrained cycle positions whose parity
+    relation fails. Returns vertex -> side for the piece (including the
+    root) or None when infeasible.
+    """
+    return _ring_assign(piece, _piece_ring(g, piece), root_side, constraints)
+
+
+def _tree_full_cut(
+    g: Graph, verts: Sequence[int], constraints: Sequence[Optional[int]]
+) -> Optional[dict[int, int]]:
+    """2-coloring of an induced tree cutting every induced edge, or None."""
+    return _orient_tree(_tree_parity(g, verts), constraints)
+
+
+def spanning_tree_cut(g: Graph) -> Cut:
+    """Cut from 2-coloring a DFS spanning tree by depth parity.
+
+    On a connected graph with no even cycles this cut has size exactly
+    n - 1 = m - y where y is the number of (edge-disjoint) odd cycles:
+    every non-tree edge closes an odd cycle and is therefore uncut.
+    """
+    t = dfs_tree(g, 0)
+    return Cut.from_sides(g, [d & 1 for d in t.depth])
+
+
+def thm1_from_decomposition(g: Graph, d: Decomposition) -> ApproxResult:
+    counts: list[int] = []
+    cut = greedy_merge(g, d, edge_counts=counts)
+    witnesses = odd_cycle_certificates(g, d)
+    x = len(witnesses)
+    c = _cb_surplus(d.components, counts)
+    tail_is_tree = d.components[-1].kind == KIND_TREE
+    lower = Fraction(g.m + g.n + c - x - (1 if tail_is_tree else 0), 2)
+    upper = g.m - x
+    return _certified(
+        g, cut, witnesses, lower, upper, x, c,
+        algorithm=ALGO_THM1, driver=ALGO_THM1, method="decomposition_merge",
+    )
+
+
+def _strict_bound_result(
+    g: Graph,
+    d: Decomposition,
+    all_witnesses: Sequence[OddCycleWitness],
+    driver: str,
+    method: str,
+) -> ApproxResult:
+    """Re-certify the plain merge cut after an exhausted bipartization search.
+
+    The completed search proves the suffix loses one edge beyond its odd
+    cycle packing, so max cut <= m - len(witnesses) - 1 and the certified
+    ratio climbs to at least 1/2 + n/(2m).
+    """
+    base = thm1_from_decomposition(g, d)
+    upper = g.m - len(all_witnesses) - 1
+    if upper <= 0:
+        raise GraphError("strict certificate would make the instance trivially cut-free")
+    return _certified(
+        g, base.cut, tuple(all_witnesses), base.lower_bound, upper,
+        x=base.x, c=base.c, algorithm=driver, driver=driver, method=method,
+    )
+
+
+def _exact_cactus_result(g: Graph, d: Decomposition, y: int, cycles, driver: str) -> ApproxResult:
+    """Whole graph has no even cycle: the parity cut of a spanning tree is optimal."""
+    cut = spanning_tree_cut(g)
+    if not (cut.size == g.n - 1 == g.m - y):
+        raise AssertionError("even-cycle-free graph's spanning tree cut is not maximum")
+    lower = Fraction(g.n - 1)
+    return _certified(
+        g, cut, tuple(cycles), lower, g.m - y,
+        x=d.ioc_count(), c=0,
+        algorithm=ALGO_EXACT_SPECIAL, driver=driver, method="spanning_tree_exact",
+    )
 
 
 # ------------------------------------------------------------------ references

@@ -9,6 +9,10 @@ BFS. They are kept here unchanged apart from their names, so that the
 library's colourings, odd cycles, components, paths, constrained piece and
 tail cuts and validation reports can be compared with them, as
 ``tests/test_sweep_merge_reference.py`` does for the sweep and the merge.
+The last two library functions are gone: the constrained cactus cut does
+their work as ``_orient_tree`` on ``_tree_parity`` and ``_ring_assign`` on
+``_piece_ring``, which is what the references are compared with here
+(``tests/test_tail_reference.py`` keeps ``_tree_full_cut`` as it was).
 """
 
 import random
@@ -29,15 +33,15 @@ from sparsecut import (
     build_graph,
     connected_components,
     gnm_connected,
-    piece_feasible,
     random_cactus,
     tree_bipartite_decompose,
     two_color,
     validate_decomposition,
 )
-from sparsecut.cactus import _tree_full_cut
 from sparsecut.decompose import ValidationReport, _path_in_component
+from tests.test_cactus import ring_assign
 from tests.test_sweep_merge_reference import FAMILIES, _relabel
+from tests.test_tail_reference import _tree_full_cut
 
 
 # ------------------------------------------------------------------ references
@@ -457,7 +461,7 @@ def test_piece_feasible_matches_reference(g, data):
         assert _path_in_component(g, verts, a, b) == reference_path_in_component(g, verts, a, b)
         constraints = _constraints(data, g.n)
         for root_side in (0, 1):
-            assert piece_feasible(g, comp, root_side, constraints) == reference_piece_feasible(
+            assert ring_assign(g, comp, root_side, constraints) == reference_piece_feasible(
                 g, comp, root_side, constraints
             )
 
@@ -484,7 +488,7 @@ def test_odd_cactus_pieces_match_reference():
         for comp in tree_bipartite_decompose(g).components[:-1]:
             constraints = [rng.choice((None, None, None, 0, 1)) for _ in range(g.n)]
             for root_side in (0, 1):
-                assert piece_feasible(g, comp, root_side, constraints) == reference_piece_feasible(
+                assert ring_assign(g, comp, root_side, constraints) == reference_piece_feasible(
                     g, comp, root_side, constraints
                 )
 

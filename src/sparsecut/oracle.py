@@ -7,15 +7,26 @@ to SIDE_A and frees the rest; ``constrained_exact`` fixes what the partial
 assignment fixes.
 
 The kernel fills a uint16 table of the cut size of every pattern by doubling.
-Adding free vertex v with bit i copies the table's lower 2^i entries into the
-next 2^i, then adds 1 in place, on strided half-views of the doubled table,
-wherever an edge from v to a fixed vertex or to an earlier free vertex is cut.
-No pattern index array is ever built. At most the low ``_CHUNK_BITS`` bits
-are tabled this way; each value of the higher bits is one chunk: a copy of the
-low table, plus one half-view add per edge between a low and a high vertex,
-plus one constant for the edges with no low endpoint. Patterns come out in
-increasing value inside and across chunks, which makes the smallest-pattern
-tie-break and the first-pattern-reaching-the-target rule exact.
+Adding free vertex v with bit i fills the table's next 2^i entries (v on
+SIDE_B) from its lower 2^i entries (v on SIDE_A). Let mask hold the bits of
+v's earlier free neighbours: v's cut edges to them number
+popcount(pattern & mask) in the lower half and popcount(mask) minus that in
+the upper half, and v's edges to fixed vertices add a constant to each
+half. One ``np.bitwise_count`` over a slice of ``_INDEX``, the 2^16
+patterns in uint16, serves both halves. A wider half is viewed as
+(rows, 2^16), and its count splits into a row part and a column part, so no
+index as long as the table is ever built. The table takes one contiguous
+add per half, or two when v has neighbours on both sides of bit 16, however
+many neighbours v has.
+
+At most the low ``_CHUNK_BITS`` bits are tabled this way; each value of the
+higher bits is one chunk, written into one reused buffer: the low table plus
+a row part and a column part. These sum, over the high vertices, the counts
+of each high vertex's low neighbours on the other side, built once per side
+of that vertex, plus one constant for the edges with no low endpoint.
+Patterns come out in increasing value inside and across chunks, which makes
+the smallest-pattern tie-break and the first-pattern-reaching-the-target
+rule exact.
 """
 
 from __future__ import annotations
@@ -30,6 +41,10 @@ from .graph import SIDE_A, SIDE_B, Cut, Graph, GraphError, cut_size
 
 ORACLE_MAX_VERTICES = 26
 _CHUNK_BITS = 20
+# a pattern below 2^_CHUNK_BITS splits into a row and a column, each below
+# 2^_SPLIT_BITS, so _CHUNK_BITS <= 2 * _SPLIT_BITS
+_SPLIT_BITS = 16
+_INDEX = np.arange(1 << _SPLIT_BITS, dtype=np.uint16)
 
 
 class OracleCapError(GraphError):
@@ -43,6 +58,22 @@ def _check_cap(g: Graph) -> None:
         )
 
 
+def _split_counts(
+    mask: int, rows: int, cols: int
+) -> tuple[Optional[np.ndarray], Optional[np.ndarray]]:
+    """popcount(p & mask) of every pattern p = row * cols + col < rows * cols.
+
+    The count splits into a row part, over the bits from _SPLIT_BITS up, and
+    a column part, over the bits below cols; a part is None where mask has
+    no bit. The row part is uint16, so that adding it along the rows makes
+    numpy cast nothing.
+    """
+    lo, hi = mask & (cols - 1), mask >> _SPLIT_BITS
+    row = np.bitwise_count(_INDEX[:rows] & hi).astype(np.uint16) if hi else None
+    col = np.bitwise_count(_INDEX[:cols] & lo) if lo else None
+    return row, col
+
+
 def _pattern_sizes(
     g: Graph, fixed: Sequence[Optional[int]]
 ) -> Iterator[tuple[int, np.ndarray]]:
@@ -53,43 +84,89 @@ def _pattern_sizes(
     """
     free = [v for v in range(g.n) if fixed[v] is None]
     low = min(len(free), _CHUNK_BITS)
-    low_bit = {v: i for i, v in enumerate(free[:low])}
-    table = np.zeros(1 << low, dtype=np.uint16)
-    for v, i in low_bit.items():
-        half = 1 << i
-        t = table[: 2 * half]
-        t[half:] = t[:half]
-        for u in g.adjacency[v]:
-            s = fixed[u]
-            if s is not None:
-                t.reshape(2, half)[1 - s] += 1
-            elif u in low_bit and low_bit[u] < i:
-                q = t.reshape(2, -1, 2, 1 << low_bit[u])
-                q[0, :, 1] += 1
-                q[1, :, 0] += 1
-
-    high = free[low:]
-    cross = []  # (low bit, high vertex)
-    rest = []  # edges with no low endpoint
+    bit = {v: i for i, v in enumerate(free)}
+    # per free vertex, the bits of its earlier low neighbours; per low
+    # vertex, its neighbours fixed to SIDE_A and to SIDE_B
+    earlier = [0] * len(free)
+    fixed_a = [0] * low
+    fixed_b = [0] * low
+    fixed_cut = 0  # edges between fixed vertices on different sides
+    rest = []  # edges with a high endpoint and no low one
     for u, v in g.edges:
-        if u in low_bit and v in low_bit:
-            continue
-        if u in low_bit or v in low_bit:
-            j, w = (low_bit[u], v) if u in low_bit else (low_bit[v], u)
-            if fixed[w] is None:  # a low-fixed edge is in the table already
-                cross.append((j, w))
+        if u in bit and v in bit:
+            i, j = sorted((bit[u], bit[v]))
+            if i < low:
+                earlier[j] |= 1 << i
+            else:
+                rest.append((u, v))
+        elif u in bit or v in bit:
+            i, s = (bit[u], fixed[v]) if u in bit else (bit[v], fixed[u])
+            if i >= low:
+                rest.append((u, v))
+            elif s == SIDE_A:
+                fixed_a[i] += 1
+            else:
+                fixed_b[i] += 1
         else:
-            rest.append((u, v))
+            fixed_cut += fixed[u] != fixed[v]
+
+    table = np.empty(1 << low, dtype=np.uint16)
+    table[0] = fixed_cut
+    for i in range(low):
+        half = 1 << i
+        rows, cols = max(1, half >> _SPLIT_BITS), min(half, 1 << _SPLIT_BITS)
+        lower, upper = table[:half], table[half : 2 * half]
+        if rows > 1:
+            lower, upper = lower.reshape(rows, cols), upper.reshape(rows, cols)
+        mask = earlier[i]
+        row, col = _split_counts(mask, rows, cols)
+        # with free vertex i on SIDE_A (lower half) the cut gains its SIDE_B
+        # neighbours: fixed_b plus row + col earlier ones; on SIDE_B (upper
+        # half), its SIDE_A neighbours: fixed_a plus the rest of them
+        up = fixed_a[i] + mask.bit_count()
+        if row is None:
+            np.add(lower, up if col is None else up - col, out=upper)
+            if col is not None:
+                lower += col + fixed_b[i]
+            elif fixed_b[i]:
+                lower += fixed_b[i]
+        else:
+            np.add(lower, (np.uint16(up) - row)[:, None], out=upper)
+            lower += (row + np.uint16(fixed_b[i]))[:, None]
+            if col is not None:
+                upper -= col
+                lower += col
+    if low == len(free):
+        yield 0, table
+        return
+
+    # one chunk per side pattern of the high vertices; a high vertex on
+    # SIDE_A cuts its low neighbours on SIDE_B, counted once here per side
+    rows, cols = 1 << (low - _SPLIT_BITS), 1 << _SPLIT_BITS
+    high = free[low:]
+    cuts = []
+    for i in range(low, len(free)):
+        mask = earlier[i]
+        row, col = _split_counts(mask, rows, cols)
+        row = np.zeros(rows, np.uint16) if row is None else row
+        col = np.zeros(cols, np.uint16) if col is None else col.astype(np.uint16)
+        n_hi, n_lo = (mask >> _SPLIT_BITS).bit_count(), (mask & (cols - 1)).bit_count()
+        cuts.append(((row, col), (n_hi - row, n_lo - col)))
+    lower = table.reshape(rows, cols)
+    sizes = np.empty_like(table)
+    block = sizes.reshape(rows, cols)
     known = list(fixed)
     for h in range(1 << len(high)):
         for i, w in enumerate(high):
             known[w] = (h >> i) & 1
-        sizes = table.copy() if high else table
-        const = sum(known[u] != known[v] for u, v in rest)
-        if const:
-            sizes += const
-        for j, w in cross:
-            sizes.reshape(-1, 2, 1 << j)[:, 1 - known[w]] += 1
+        row = np.uint16(sum(known[u] != known[v] for u, v in rest))
+        col = 0
+        for cut, w in zip(cuts, high):
+            r, c = cut[known[w]]
+            row = row + r
+            col = col + c
+        np.add(lower, row[:, None], out=block)
+        block += col
         yield h << low, sizes
 
 
@@ -127,10 +204,17 @@ def constrained_exact(g: Graph, pa, target: int) -> Optional[Cut]:
     """A cut of size >= target extending a partial assignment, or None.
 
     Enumerates only the unfixed vertices, in increasing pattern order, and
-    returns the first pattern that reaches the target.
+    returns the first pattern that reaches the target. An assignment of
+    another length than g.n, or with a side other than None, SIDE_A and
+    SIDE_B, is rejected before any enumeration.
     """
     _check_cap(g)
     fixed = list(pa.side)
+    if len(fixed) != g.n:
+        raise GraphError(f"assignment covers {len(fixed)} of {g.n} vertices")
+    for v, s in enumerate(fixed):
+        if s is not None and s not in (SIDE_A, SIDE_B):
+            raise GraphError(f"vertex {v} has invalid side {s!r}")
     for lo, sizes in _pattern_sizes(g, fixed):
         ok = np.flatnonzero(sizes >= target)
         if ok.size:

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from sparsecut import (
     Cut,
+    GraphError,
     OddCycleWitness,
     OracleCapError,
     PartialAssignment,
@@ -19,6 +20,7 @@ from sparsecut import (
     two_color,
     verify_result,
 )
+from sparsecut import oracle
 from tests.conftest import random_connected_graph
 
 
@@ -157,6 +159,33 @@ def test_constrained_k3_split(k3):
 def test_constrained_k3_all_same_infeasible(k3):
     pa = PartialAssignment.from_sets(3, side_a=[0, 1, 2])
     assert constrained_exact(k3, pa, 2) is None
+
+
+@pytest.mark.parametrize("length", [0, 1, 2, 4, 5])
+def test_constrained_rejects_assignment_of_wrong_length(k3, length, monkeypatch):
+    # rejected before the kernel runs, not when the cut is rebuilt after a
+    # full enumeration
+    def no_enumeration(g, fixed):
+        raise AssertionError("enumerated a malformed assignment")
+
+    monkeypatch.setattr(oracle, "_pattern_sizes", no_enumeration)
+    with pytest.raises(GraphError, match=f"assignment covers {length} of 3 vertices"):
+        constrained_exact(k3, PartialAssignment.empty(length), 2)
+    with pytest.raises(GraphError, match=f"assignment covers {length} of 3 vertices"):
+        constrained_exact(k3, PartialAssignment((0,) * length), 2)
+
+
+@pytest.mark.parametrize("side", [5, -1, 2])
+@pytest.mark.parametrize("vertex", [0, 1, 2])
+def test_constrained_rejects_invalid_side(k3, side, vertex):
+    # a kernel that counts fixed neighbours per side must not read -1 or 5
+    # as one of the two sides
+    pa = PartialAssignment(tuple(side if v == vertex else None for v in range(3)))
+    with pytest.raises(GraphError, match=f"vertex {vertex} has invalid side {side}"):
+        constrained_exact(k3, pa, 2)
+    pa = PartialAssignment(tuple(side if v == vertex else 1 - v % 2 for v in range(3)))
+    with pytest.raises(GraphError, match=f"vertex {vertex} has invalid side {side}"):
+        constrained_exact(k3, pa, 0)
 
 
 def test_constrained_bowtie_center(bowtie):

@@ -36,6 +36,7 @@ from .graph import (
     Graph,
     GraphError,
     _bfs,
+    check_partial_sides,
     is_even_cycle_free,
 )
 
@@ -248,9 +249,10 @@ def constrained_cactus_cut(
     Requires a connected graph without even cycles (y is its odd cycle
     count). Runs in near-linear time. ``analysis``, from
     :func:`analyse_cactus` on ``g``, lets many constraint sets share one.
+    An assignment of another length than g.n, or with a side other than
+    None, SIDE_A and SIDE_B, raises GraphError before anything is solved.
     """
-    if pa.n != g.n:
-        raise GraphError(f"assignment covers {pa.n} of {g.n} vertices")
+    check_partial_sides(g, pa.side)
     if analysis is None:
         analysis = analyse_cactus(g)
     elif analysis.g is not g:

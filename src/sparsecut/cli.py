@@ -22,7 +22,7 @@ from .decompose import tree_bipartite_decompose, validate_decomposition
 from .drivers import auto_approx, thm2_approx, thm3_approx
 from .edgelist import ParseError, parse_edge_list
 from .generators import generate, instance_seed
-from .graph import Graph, GraphError, connected_components, gc_paused, induced_subgraph
+from .graph import Graph, GraphError, component_subgraphs, connected_components, gc_paused
 from .maxcut import ApproxResult, thm1_approx
 from .oracle import OracleCapError, exact_max_cut
 
@@ -89,7 +89,7 @@ def _split(g: Graph) -> list[tuple[Graph, tuple[int, ...]]]:
     comps = connected_components(g)
     if len(comps) == 1:
         return [(g, tuple(range(g.n)))]
-    return [induced_subgraph(g, comp) for comp in comps]
+    return component_subgraphs(g, comps)
 
 
 def _cmd_decompose(args) -> int:

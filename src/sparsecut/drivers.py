@@ -438,7 +438,8 @@ def _case_ioc_neighbor_single_test(
 
     piece_vertices = sorted(set(nb.hk.vertices) | {nb.hk.roots[0]})
     piece, piece_ids = subgraph_from_edges(piece_vertices, nb.hk_edges + [e1, e2])
-    seed = _extend_by_cactus_cut(analyse_cactus(piece), piece_ids, colors)
+    # one cycle, the odd one the piece's witness certifies: y = 1
+    seed = _extend_by_cactus_cut(analyse_cactus(piece, y=1), piece_ids, colors)
     if seed is None:
         return _strict_bound_result(g, d, nb.witnesses, driver, "piece_infeasible")
     return _seeded_result(

@@ -3,11 +3,17 @@
 Vertices are always 0..n-1. Graphs are simple (no self-loops, no parallel
 edges) and undirected. Adjacency lists are kept sorted ascending so every
 traversal in the package is reproducible. :func:`build_graph` is the one
-validated constructor; :func:`induced_subgraph` and
-:func:`subgraph_from_edges` relabel trusted edges of a graph it built,
-with no second validation. Colourings and tree paths all come
+validated constructor; :func:`induced_subgraph`,
+:func:`component_subgraphs` and :func:`subgraph_from_edges` relabel
+trusted edges of a graph it built, with no second validation. Colourings and tree paths all come
 from one breadth-first search over a vertex mask, :func:`_bfs`;
 :func:`connected_components` keeps a flag-only search of its own.
+
+A graph from :func:`build_graph` holds one int object per vertex id,
+shared by ``edges`` and ``adjacency``: a Python int takes 28 bytes and a
+reference 8, so 4m copies of the endpoints would outweigh the tuples that
+hold them. Above n = 256 the ids are mapped through one object array;
+up to it numpy's ``tolist`` already returns CPython's cached small ints.
 """
 
 from __future__ import annotations
@@ -26,6 +32,9 @@ SIDE_A = 0
 SIDE_B = 1
 # The largest n for which the int64 arc keys u*n + v cannot overflow.
 _MAX_KEYED_N = math.isqrt(np.iinfo(np.int64).max)
+# CPython keeps one shared object for each int up to 256, so up to this n
+# numpy's ``tolist`` already hands out one object per vertex id.
+_SHARED_INT_N = 256
 
 
 class GraphError(ValueError):
@@ -107,8 +116,13 @@ def build_graph(n: int, edge_list: Sequence[tuple[int, int]]) -> Graph:
         _raise_edge_error(n, edge_list)
     pairs = pairs.astype(np.int64, copy=False)
     pairs.sort(axis=1)
-    lo, hi = pairs.T.tolist()
-    if lo and (min(lo) < 0 or max(hi) >= n):
+    shared = n <= _SHARED_INT_N
+    if shared:
+        lo, hi = pairs.T.tolist()
+        out_of_range = lo and (min(lo) < 0 or max(hi) >= n)
+    else:
+        out_of_range = pairs.size and (pairs[:, 0].min() < 0 or pairs[:, 1].max() >= n)
+    if out_of_range:
         _raise_edge_error(n, edge_list)
     # sorted, the arc keys u*n + v and v*n + u are the adjacency lists end to
     # end, and a self-loop or a duplicate edge repeats a key
@@ -117,8 +131,14 @@ def build_graph(n: int, edge_list: Sequence[tuple[int, int]]) -> Graph:
     if np.count_nonzero(arcs[1:] == arcs[:-1]):
         _raise_edge_error(n, edge_list)
     ends = list(accumulate(np.bincount(pairs.ravel(), minlength=n).tolist()))
+    arcs %= n
+    if not shared:
+        # each endpoint takes its vertex's one int object, not one of its own
+        ids = np.array(range(n), dtype=object)
+        lo, hi = ids[pairs.T].tolist()
     del pairs
-    nbrs = tuple((arcs % n).tolist())
+    nbrs = tuple((arcs if shared else ids[arcs]).tolist())
+    del arcs
     with gc_paused():
         adjacency = tuple(map(nbrs.__getitem__, map(slice, [0] + ends, ends)))
         return Graph(n, tuple(zip(lo, hi)), adjacency)
@@ -166,6 +186,16 @@ class Cut:
 
     def side_b(self) -> list[int]:
         return [v for v, s in enumerate(self.side) if s == SIDE_B]
+
+
+def check_partial_sides(g: Graph, side: Sequence[Optional[int]]) -> None:
+    """Reject a partial assignment of another length than g.n, or with a
+    side other than None, SIDE_A and SIDE_B."""
+    if len(side) != g.n:
+        raise GraphError(f"assignment covers {len(side)} of {g.n} vertices")
+    for v, s in enumerate(side):
+        if s is not None and s not in (SIDE_A, SIDE_B):
+            raise GraphError(f"vertex {v} has invalid side {s!r}")
 
 
 def cut_size(g: Graph, cut: Cut) -> int:
@@ -456,6 +486,33 @@ def induced_subgraph(g: Graph, vertices: Sequence[int]) -> tuple[Graph, tuple[in
         sub_adj = tuple([tuple([index[w] for w in adj[v] if w in index]) for v in ids])
         edges = tuple([(i, j) for i, nbrs in enumerate(sub_adj) for j in nbrs if j > i])
         return Graph(len(ids), edges, sub_adj), ids
+
+
+def component_subgraphs(
+    g: Graph, comps: Sequence[Sequence[int]]
+) -> list[tuple[Graph, tuple[int, ...]]]:
+    """:func:`induced_subgraph` of each component, in one relabelling pass.
+
+    ``comps`` must be the components as :func:`connected_components` gives
+    them. A component holds every neighbour of its vertices, so no list
+    needs filtering; numbering each one's sorted vertices in order keeps
+    every list sorted, and one vertex -> local id list serves them all.
+    """
+    local = [0] * g.n
+    for comp in comps:
+        for i, v in enumerate(comp):
+            local[v] = i
+    relabel = local.__getitem__
+    adj = g.adjacency
+    parts = []
+    with gc_paused():
+        for comp in comps:
+            sub_adj = tuple([tuple(map(relabel, adj[v])) for v in comp])
+            edges = tuple([
+                (i, j) for i, nbrs in zip(map(relabel, comp), sub_adj) for j in nbrs if j > i
+            ])
+            parts.append((Graph(len(comp), edges, sub_adj), tuple(comp)))
+    return parts
 
 
 def _biconnected_blocks(g: Graph) -> list[list[tuple[int, int]]]:

@@ -37,7 +37,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .graph import SIDE_A, SIDE_B, Cut, Graph, GraphError, cut_size
+from .graph import SIDE_A, SIDE_B, Cut, Graph, GraphError, check_partial_sides, cut_size
 
 ORACLE_MAX_VERTICES = 26
 _CHUNK_BITS = 20
@@ -210,11 +210,7 @@ def constrained_exact(g: Graph, pa, target: int) -> Optional[Cut]:
     """
     _check_cap(g)
     fixed = list(pa.side)
-    if len(fixed) != g.n:
-        raise GraphError(f"assignment covers {len(fixed)} of {g.n} vertices")
-    for v, s in enumerate(fixed):
-        if s is not None and s not in (SIDE_A, SIDE_B):
-            raise GraphError(f"vertex {v} has invalid side {s!r}")
+    check_partial_sides(g, fixed)
     for lo, sizes in _pattern_sizes(g, fixed):
         ok = np.flatnonzero(sizes >= target)
         if ok.size:

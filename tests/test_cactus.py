@@ -64,6 +64,18 @@ def test_from_sets_rejects_vertex_out_of_range(side_a, side_b, bad):
         PartialAssignment.from_sets(3, side_a=side_a, side_b=side_b)
 
 
+@pytest.mark.parametrize("side, vertex, bad", [
+    ((None, -1, None), 1, -1),
+    ((0, 5, None), 1, 5),
+    ((None, None, 2), 2, 2),
+])
+def test_rejects_invalid_side(k3, side, vertex, bad):
+    # checked before solving, as constrained_exact does, or a bad side on a
+    # ring vertex would reach the parity scan and fail an assertion there
+    with pytest.raises(GraphError, match=rf"^vertex {vertex} has invalid side {bad}$"):
+        constrained_cactus_cut(k3, PartialAssignment(side))
+
+
 def test_rejects_even_cycles(c4):
     with pytest.raises(GraphError, match="even cycle"):
         constrained_cactus_cut(c4, PartialAssignment.empty(4))

@@ -124,6 +124,16 @@ def test_tail_result_reuses_the_runs_work(monkeypatch, m, seed, driver):
     assert sum(args[0] is g for args in dfs) == 1
 
 
+@pytest.mark.parametrize("n, m, seed", [(10, 11, 0), (20, 22, 3), (40, 41, 7), (200, 204, 7)])
+def test_single_test_case_skips_the_even_cycle_check(monkeypatch, n, m, seed):
+    # the piece it solves is the IOC tree, its root and its two root edges:
+    # one cycle, already certified odd by the piece's witness
+    g = gnm_connected(n, m, seed)
+    even_checks = count_calls(monkeypatch, "is_even_cycle_free")
+    assert thm3_approx(g).method == "tail_boundary_single_test"
+    assert even_checks == []
+
+
 def test_thm2_on_an_odd_cactus_makes_one_dfs(monkeypatch):
     g = random_cactus(2000, True, 1)
     dfs = count_calls(monkeypatch, "dfs_tree")

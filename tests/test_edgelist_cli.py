@@ -12,12 +12,14 @@ from hypothesis import given, settings, strategies as st
 from sparsecut import (
     ParseError,
     build_graph,
+    connected_components,
     gnm_connected,
+    induced_subgraph,
     parse_edge_list,
     random_cactus,
     write_edge_list,
 )
-from sparsecut.cli import _ALGOS, BenchConfig, _write_json, run_bench, run_cli
+from sparsecut.cli import _ALGOS, BenchConfig, _split, _write_json, run_bench, run_cli
 from sparsecut.edgelist import _read_plain
 from tests.conftest import random_connected_graph
 
@@ -296,6 +298,20 @@ def test_rejected_file_allocates_nothing_to_scale(text):
     assert peak < 1 << 20
 
 
+def test_parsed_graph_resident_size():
+    # one int object per vertex id: about 3.8 MB here, against 8.2 MB with
+    # an int per endpoint and per arc
+    text = write_edge_list(gnm_connected(20_000, 40_000, 1))
+    tracemalloc.start()
+    try:
+        g = parse_edge_list(text)
+        resident = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert g.m == 40_000
+    assert resident < 6 << 20
+
+
 def test_round_trip_canonical(k4):
     text = write_edge_list(k4)
     again = parse_edge_list(text)
@@ -410,6 +426,27 @@ def test_cli_approx_splits_disconnected_input_once(tmp_path, capsys, monkeypatch
     code, data = run_json(capsys, ["approx", path, "--algo", "thm1"])
     assert code == 0 and data["components"] == 2
     assert len(components) == 1
+
+
+@st.composite
+def forests(draw):
+    """A random forest, isolated vertices included, under a random labelling."""
+    n = draw(st.integers(1, 300))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    keep = draw(st.floats(0.3, 1.0))
+    label = list(range(n))
+    rng.shuffle(label)
+    edges = [(label[rng.randrange(v)], label[v]) for v in range(1, n) if rng.random() < keep]
+    return build_graph(n, edges)
+
+
+@given(forests())
+@settings(max_examples=150)
+def test_split_matches_induced_subgraphs(g):
+    expected = [induced_subgraph(g, comp) for comp in connected_components(g)]
+    if len(expected) == 1:
+        expected = [(g, tuple(range(g.n)))]
+    assert _split(g) == expected
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["gc_on", "gc_off"])

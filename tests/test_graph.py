@@ -12,10 +12,13 @@ from sparsecut import (
     cut_size,
     dfs_tree,
     exact_max_cut,
+    gnm_connected,
     induced_subgraph,
     is_even_cycle_free,
+    parse_edge_list,
     thm2_approx,
     two_color,
+    write_edge_list,
 )
 from sparsecut.graph import _MAX_KEYED_N, subgraph_from_edges
 from tests.test_build_reference import reference_subgraph_from_edges
@@ -24,6 +27,8 @@ from tests.conftest import random_connected_graph
 import dataclasses
 import random
 import tracemalloc
+
+import numpy as np
 
 
 # ---------------------------------------------------------------- build_graph
@@ -67,6 +72,26 @@ def test_build_allocates_nothing_sized_by_n_before_its_checks():
             build_graph(2_000_000, [(0, 2_000_000)])
 
     assert peak_bytes(build) < 1 << 20
+
+
+def int_objects(g):
+    """The distinct int objects that ``g``'s edges and adjacency hold."""
+    return {id(x) for e in g.edges for x in e} | {id(x) for a in g.adjacency for x in a}
+
+
+@pytest.mark.parametrize("n", [257, 6000])
+def test_build_holds_one_int_object_per_vertex(n):
+    # above n = 256 an int per endpoint would be an object of its own
+    g = gnm_connected(n, 3 * n, 1)
+    for edges in (list(g.edges), np.array(g.edges)):
+        h = build_graph(n, edges)
+        assert h == g
+        assert len(int_objects(h)) <= n
+
+
+def test_parse_holds_one_int_object_per_vertex():
+    g = parse_edge_list(write_edge_list(gnm_connected(6000, 12000, 2)))
+    assert len(int_objects(g)) <= g.n
 
 
 def test_build_refuses_n_beyond_int64_keys_without_allocating():

@@ -217,15 +217,16 @@ def analyse_cactus(g: Graph, y: Optional[int] = None) -> CactusAnalysis:
     """Check a connected even-cycle-free graph and decompose it once.
 
     ``y``, the graph's odd cycle count, skips the even-cycle check when the
-    caller has already made it.
+    caller has already made it; the check reads the decomposition's DFS tree.
     """
+    d = tree_bipartite_decompose(g)
     if y is None:
-        cycles = is_even_cycle_free(g)
+        cycles = is_even_cycle_free(g, d.tree)
         if isinstance(cycles, EvenCycleWitness):
             raise GraphError("graph contains an even cycle")
         y = len(cycles)
 
-    comps = tree_bipartite_decompose(g).components
+    comps = d.components
     tail = comps[-1]
     if tail.kind != KIND_TREE:
         raise GraphError("decomposition of an even-cycle-free graph must end in a tree")

@@ -112,9 +112,9 @@ def merge_tail(g: Graph, d: Decomposition) -> TailState:
     if k == len(comps) - 1:
         return TailState(comps[:k], last.vertices, TAIL_TREE, 0, ())
     tail = tuple(sorted(in_tail))
-    # a tail that swallowed every piece is g itself
+    # a tail that swallowed every piece is g itself, searched already by d
     sub, ids = induced = (g, tail) if len(tail) == g.n else induced_subgraph(g, tail)
-    res = is_even_cycle_free(sub)
+    res = is_even_cycle_free(sub, d.tree if sub is g else None)
     if isinstance(res, EvenCycleWitness):
         raise AssertionError("folded tail holds an even cycle")
     cycles = tuple(OddCycleWitness.from_vertices([ids[v] for v in w.cycle]) for w in res)

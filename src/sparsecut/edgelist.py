@@ -21,7 +21,7 @@ from contextlib import suppress
 
 import numpy as np
 
-from .graph import Graph, GraphError, build_graph
+from .graph import _MAX_KEYED_N, Graph, GraphError, build_graph
 
 # ``str.splitlines`` also breaks lines at these; text holding any of them is
 # tokenised line by line, so a comment must not swallow one.
@@ -88,6 +88,10 @@ def _scan(text: str) -> Graph:
             n, m = a, b
             if n < 1 or m < 0:
                 raise ParseError(f"line {lineno}: bad header n={n} m={m}")
+            if n > _MAX_KEYED_N:
+                raise ParseError(
+                    f"line {lineno}: header n={n} is above {_MAX_KEYED_N}, the most vertices allowed"
+                )
             continue
         if not (0 <= a < n and 0 <= b < n):
             raise ParseError(f"line {lineno}: edge ({a}, {b}) out of range for n={n}")

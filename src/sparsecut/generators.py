@@ -104,7 +104,9 @@ def random_max_deg(n: int, max_deg: int, rng: RngOrSeed, extra_tries: Optional[i
     attached vertex with spare degree, then sprinkles extra edges between
     vertices that still have room. Linear in n for fixed max_deg.
     """
-    if max_deg < 2 and n > 2:
+    if n < 1:
+        raise GraphError(f"vertex count must be positive, got {n}")
+    if n > 1 and max_deg < min(n - 1, 2):
         raise GraphError(f"max_deg={max_deg} cannot connect {n} vertices")
     rng = _rng(rng)
     if n == 1:
@@ -241,21 +243,36 @@ def random_regular(
     raise GraphError(f"could not realize a connected {d}-regular graph in {tries} tries")
 
 
+# each model's params, with their defaults; None marks a required one
 _MODELS = {
-    "gnm_connected": lambda params, rng: gnm_connected(params["n"], params["m"], rng),
-    "random_subcubic": lambda params, rng: random_subcubic(params["n"], rng),
-    "random_max_deg": lambda params, rng: random_max_deg(params["n"], params["max_deg"], rng),
-    "random_cactus": lambda params, rng: random_cactus(
-        params["n"], params.get("odd_only", True), rng
-    ),
-    "random_regular": lambda params, rng: random_regular(
-        params["n"], params["d"], rng, params.get("min_girth", 0)
-    ),
+    "gnm_connected": (gnm_connected, {"n": None, "m": None}),
+    "random_subcubic": (random_subcubic, {"n": None}),
+    "random_max_deg": (random_max_deg, {"n": None, "max_deg": None}),
+    "random_cactus": (random_cactus, {"n": None, "odd_only": True}),
+    "random_regular": (random_regular, {"n": None, "d": None, "min_girth": 0}),
 }
 
 
 def generate(model: str, params: dict, seed: int) -> Graph:
-    """Build one instance of a named family from an integer seed."""
+    """Build one instance of a named family from an integer seed.
+
+    A missing or unknown param raises GraphError naming it, and so does a
+    param of the wrong type: ``odd_only`` is a bool and every other param
+    an int, which a bool is not here.
+    """
     if model not in _MODELS:
         raise GraphError(f"unknown generator model {model!r}; known: {sorted(_MODELS)}")
-    return _MODELS[model](params, random.Random(seed))
+    fn, spec = _MODELS[model]
+    unknown = sorted(set(params) - set(spec))
+    if unknown:
+        raise GraphError(f"unknown {model} params {unknown}; known: {sorted(spec)}")
+    kwargs = {}
+    for name, default in spec.items():
+        value = params.get(name, default)
+        if value is None and name not in params:
+            raise GraphError(f"{model} needs param {name!r}")
+        kind = int if default is None else type(default)
+        if type(value) is not kind:
+            raise GraphError(f"{model} param {name!r} must be {kind.__name__}, got {value!r}")
+        kwargs[name] = value
+    return fn(rng=random.Random(seed), **kwargs)

@@ -6,8 +6,10 @@ traversal in the package is reproducible. :func:`build_graph` is the one
 validated constructor; :func:`induced_subgraph`,
 :func:`component_subgraphs` and :func:`subgraph_from_edges` relabel
 trusted edges of a graph it built, with no second validation. Colourings and tree paths all come
-from one breadth-first search over a vertex mask, :func:`_bfs`;
-:func:`connected_components` keeps a flag-only search of its own.
+from one breadth-first search over a vertex mask, :func:`_bfs`, and
+cycles from the back edges that :func:`dfs_tree` files, so the only
+searches are :func:`dfs_tree`, :func:`_bfs` and the flag-only search of
+:func:`connected_components`.
 
 A graph from :func:`build_graph` holds one int object per vertex id,
 shared by ``edges`` and ``adjacency``: a Python int takes 28 bytes and a
@@ -515,212 +517,87 @@ def component_subgraphs(
     return parts
 
 
-def _biconnected_blocks(g: Graph) -> list[list[tuple[int, int]]]:
-    """Edge lists of the biconnected blocks of a connected graph.
-
-    Standard low-link pass, iterative, from vertex 0. Raises
-    :class:`DisconnectedError` naming an unreached vertex, as
-    :func:`dfs_tree` does, if the graph is not connected.
-    """
-    n = g.n
-    adj = g.adjacency
-    disc = [-1] * n
-    low = [0] * n
-    parent: list[Optional[int]] = [None] * n
-    cursor = [0] * n
-    edge_stack: list[tuple[int, int]] = []
-    blocks: list[list[tuple[int, int]]] = []
-    disc[0] = low[0] = 0
-    timer = 1
-    stack = [0]
-    while stack:
-        v = stack[-1]
-        nbrs = adj[v]
-        if cursor[v] < len(nbrs):
-            w = nbrs[cursor[v]]
-            cursor[v] += 1
-            if disc[w] == -1:
-                parent[w] = v
-                disc[w] = low[w] = timer
-                timer += 1
-                edge_stack.append((v, w))
-                stack.append(w)
-            elif w != parent[v] and disc[w] < disc[v]:
-                edge_stack.append((v, w))
-                if disc[w] < low[v]:
-                    low[v] = disc[w]
-        else:
-            stack.pop()
-            if stack:
-                u = stack[-1]
-                if low[v] < low[u]:
-                    low[u] = low[v]
-                if low[v] >= disc[u]:
-                    blk = []
-                    while True:
-                        e = edge_stack.pop()
-                        blk.append(e)
-                        if e == (u, v):
-                            break
-                    blocks.append(blk)
-    if timer < n:
-        raise DisconnectedError(f"graph is not connected: vertex {disc.index(-1)} unreachable from 0")
-    if edge_stack:
-        raise AssertionError("block search left edges unassigned")
-    return blocks
-
-
-def _cycle_order_block(block_edges: list[tuple[int, int]]) -> list[int]:
-    """Vertex walk of a block that is a single cycle, anchored at its min vertex."""
-    nbrs: dict[int, list[int]] = {}
-    for u, v in block_edges:
-        nbrs.setdefault(u, []).append(v)
-        nbrs.setdefault(v, []).append(u)
-    start = min(nbrs)
-    walk = [start, min(nbrs[start])]
-    while walk[-1] != start:
-        a, b = nbrs[walk[-1]]
-        walk.append(a if a != walk[-2] else b)
-    return walk
-
-
-def _even_cycle_in_block(g: Graph, block_edges: list[tuple[int, int]]) -> EvenCycleWitness:
-    """Extract an even simple cycle from a block with more edges than vertices.
-
-    First tries fundamental cycles of a DFS tree of the block; if all are
-    odd, combines an odd cycle with a chord or an ear, one of which must
-    close an even cycle by parity.
-    """
-    verts = sorted({v for e in block_edges for v in e})
-    nbrs: dict[int, list[int]] = {v: [] for v in verts}
-    edge_set = set()
-    for u, v in block_edges:
-        nbrs[u].append(v)
-        nbrs[v].append(u)
-        edge_set.add((u, v) if u < v else (v, u))
-    for v in nbrs:
-        nbrs[v].sort()
-
-    root = verts[0]
-    depth = {root: 0}
-    par: dict[int, Optional[int]] = {root: None}
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        for w in nbrs[v]:
-            if w not in depth:
-                depth[w] = depth[v] + 1
-                par[w] = v
-                stack.append(w)
-    tree_edges = {(par[v], v) if par[v] < v else (v, par[v]) for v in verts if par[v] is not None}
-
-    first_odd: Optional[list[int]] = None
-    for u, v in sorted(edge_set - tree_edges):
-        # fundamental cycle through the spanning tree: u..lca..v plus (v, u)
-        au, av = [u], [v]
-        while depth[au[-1]] > depth[av[-1]]:
-            au.append(par[au[-1]])
-        while depth[av[-1]] > depth[au[-1]]:
-            av.append(par[av[-1]])
-        while au[-1] != av[-1]:
-            au.append(par[au[-1]])
-            av.append(par[av[-1]])
-        cyc = au + list(reversed(av[:-1])) + [u]
-        if (len(cyc) - 1) % 2 == 0:
-            return EvenCycleWitness.from_vertices(cyc)
-        if first_odd is None:
-            first_odd = cyc
-
-    if first_odd is None:
-        raise AssertionError("block with surplus edges has no fundamental cycle")
-    ring = first_odd[:-1]
-    on_ring = set(ring)
-    pos = {v: i for i, v in enumerate(ring)}
-    L = len(ring)
-
-    def arc_even_cycle(p: int, q: int, ear: list[int]) -> EvenCycleWitness:
-        # ear is a simple p..q path meeting the ring only at its endpoints;
-        # the ring splits into two p..q arcs of odd total length, so exactly
-        # one of (arc + ear) closures is even
-        i, j = pos[p], pos[q]
-        if i > j:
-            i, j = j, i
-            ear = list(reversed(ear))
-        arc_a = ring[i : j + 1]           # p .. q along the ring
-        arc_b = ring[j:] + ring[: i + 1]  # q .. p the other way
-        if (len(arc_a) - 1 + len(ear) - 1) % 2 == 0:
-            cyc = arc_a + list(reversed(ear))[1:]
-        else:
-            cyc = arc_b + ear[1:]
-        return EvenCycleWitness.from_vertices(cyc)
-
-    # chord: a non-ring edge joining two ring vertices
-    for u, v in sorted(edge_set):
-        if u in on_ring and v in on_ring:
-            i, j = pos[u], pos[v]
-            if (i - j) % L in (1, L - 1):
-                continue  # ring edge
-            return arc_even_cycle(u, v, [u, v])
-
-    # ear: simple path leaving the ring and coming back at a different vertex
-    origin: dict[int, int] = {}
-    epar: dict[int, int] = {}
-    queue = []
-    for c in ring:
-        for w in nbrs[c]:
-            if w not in on_ring and w not in origin:
-                origin[w] = c
-                epar[w] = c
-                queue.append(w)
-    qi = 0
-    while qi < len(queue):
-        x = queue[qi]
-        qi += 1
-        for w in nbrs[x]:
-            if w in on_ring:
-                if w != origin[x]:
-                    ear = [w, x]
-                    while ear[-1] not in on_ring:
-                        ear.append(epar[ear[-1]])
-                    return arc_even_cycle(w, ear[-1], ear)
-            elif w not in origin:
-                origin[w] = origin[x]
-                epar[w] = x
-                queue.append(w)
-            elif origin[w] != origin[x]:
-                left = [x]
-                while left[-1] not in on_ring:
-                    left.append(epar[left[-1]])
-                right = [w]
-                while right[-1] not in on_ring:
-                    right.append(epar[right[-1]])
-                ear = list(reversed(left)) + right
-                return arc_even_cycle(ear[0], ear[-1], ear)
-    raise AssertionError("2-connected block with surplus edges must contain a chord or an ear")
+def _tree_path(parent: Sequence[Optional[int]], v: int, top: int) -> list[int]:
+    """The vertices from ``v`` up the tree to its ancestor ``top``, both included."""
+    path = [v]
+    while v != top:
+        v = parent[v]  # type: ignore[assignment]
+        path.append(v)
+    return path
 
 
 def is_even_cycle_free(
-    g: Graph,
+    g: Graph, tree: Optional[DfsTree] = None
 ) -> Union[tuple[OddCycleWitness, ...], EvenCycleWitness]:
     """Decide whether a connected graph has an even cycle.
 
     Returns the tuple of its odd cycles (pairwise edge-disjoint, exactly
     m - n + 1 of them) when there is none, and an :class:`EvenCycleWitness`
-    otherwise. A graph is even-cycle-free iff every biconnected block is a
-    single edge or an odd cycle. Raises :class:`DisconnectedError` if the
-    graph is not connected.
+    otherwise. ``tree``, when the caller already has it, must be
+    ``dfs_tree(g, 0)``; it spares the search and does not change the
+    result. Raises :class:`DisconnectedError` if the graph is not connected.
+
+    Each back edge r-w of the DFS tree closes one cycle with the tree path
+    from w up to r, and the graph has no even cycle iff every such cycle is
+    odd and no two share a tree edge. Two odd cycles that share the tree
+    path from x up to q form a theta graph, and its third cycle, their
+    union less that path, is even: two odd lengths less twice the path's.
+    Each odd cycle starts at its smallest vertex and heads to the smaller
+    of that vertex's two cycle neighbours. The cycles come in the order in
+    which the search finished the child of r on their path, which is the
+    order in which a low-link block search closes their blocks.
     """
-    odd: list[OddCycleWitness] = []
-    for blk in _biconnected_blocks(g):
-        if len(blk) == 1:
+    if tree is None:
+        tree = dfs_tree(g, 0)
+    elif tree.root != 0 or len(tree.parent) != g.n:
+        raise GraphError(f"tree must be dfs_tree(g, 0) of a graph on {g.n} vertices")
+    parent = tree.parent
+    depth = tree.depth
+    # owner[x] indexes the cycle in ``found`` that holds the tree edge from
+    # x to its parent; until two cycles meet, each edge is walked once
+    owner = [-1] * g.n
+    found: list[list[int]] = []  # each cycle from w up to r, through r's child
+    for r, pairs in enumerate(tree.below):
+        if pairs is None:
             continue
-        verts = {v for e in blk for v in e}
-        if len(blk) == len(verts):
-            walk = _cycle_order_block(blk)
-            if (len(walk) - 1) % 2 == 1:
-                odd.append(OddCycleWitness.from_vertices(walk))
+        for c, w in zip(pairs[::2], pairs[1::2]):
+            if (depth[w] - depth[r]) & 1:
+                return EvenCycleWitness.from_vertices(_tree_path(parent, w, r) + [w])
+            k = len(found)
+            cycle = []
+            x = w
+            while owner[x] < 0:
+                owner[x] = k
+                cycle.append(x)
+                if x == c:
+                    break
+                x = parent[x]  # type: ignore[assignment]
             else:
-                return EvenCycleWitness.from_vertices(walk)
-        else:
-            return _even_cycle_in_block(g, blk)
+                # the theta's third cycle: w up to x, down to w2, the back
+                # edge to r2, along the tree to r, and the back edge to w
+                met = found[owner[x]]
+                w2, r2 = met[0], met[-1]
+                between = (
+                    _tree_path(parent, r2, r) if depth[r2] >= depth[r]
+                    else _tree_path(parent, r, r2)[::-1]
+                )
+                outer = cycle + [x] + _tree_path(parent, w2, x)[-2::-1] + between + [w]
+                return EvenCycleWitness.from_vertices(outer)
+            cycle.append(r)
+            found.append(cycle)
+    if len(found) > 1:
+        # the finishing rank of r's child c = cycle[-2]: its preorder rank,
+        # less its proper ancestors, plus the descendants that finish first
+        size = [1] * g.n
+        for v in tree.order[:0:-1]:
+            size[parent[v]] += size[v]  # type: ignore[index]
+        pre = tree.preorder
+        found.sort(key=lambda cycle: pre[cycle[-2]] + size[cycle[-2]] - 1 - depth[cycle[-2]])
+    odd = []
+    for cycle in found:
+        i = cycle.index(min(cycle))
+        if cycle[i - 1] < cycle[(i + 1) % len(cycle)]:
+            cycle.reverse()
+            i = len(cycle) - 1 - i
+        odd.append(OddCycleWitness.from_vertices(cycle[i:] + cycle[:i + 1]))
     return tuple(odd)

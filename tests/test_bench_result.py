@@ -12,6 +12,9 @@ JSON for a disconnected input drops ``witnesses``, ``c`` and ``method``, so
 the checker cannot verify ``mc_upper_bound`` and counts large_sparse's
 ``disconnected`` operation as failed in every pass. When the library solves
 disconnected graphs itself, that operation must pass and the pin goes.
+
+The checker's own self-test, ``bench/test_checker.py``, lies outside the
+test paths and runs here as the script it is.
 """
 
 import json
@@ -61,3 +64,11 @@ def test_traced_oracle_sweep_result_is_well_formed():
 @pytest.mark.slow
 def test_traced_large_sparse_result_is_well_formed():
     check_traced_run("large_sparse", timeout=900, known_failures=[("disconnected", "auto")])
+
+
+def test_checker_self_test_passes():
+    proc = subprocess.run(
+        [sys.executable, "bench/test_checker.py"],
+        cwd=ROOT, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]

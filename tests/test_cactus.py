@@ -12,12 +12,15 @@ from sparsecut import (
     build_graph,
     constrained_cactus_cut,
     constrained_exact,
+    dfs_tree,
     is_even_cycle_free,
     random_cactus,
     thm2_approx,
     tree_bipartite_decompose,
 )
 from sparsecut import cactus
+from sparsecut.cactus import analyse_cactus
+from tests.test_edgelist_cli import count_calls
 
 
 def odd_cycle_count(g):
@@ -85,6 +88,25 @@ def test_rejects_disconnected():
     g = build_graph(4, [(0, 1), (2, 3)])
     with pytest.raises(GraphError):
         constrained_cactus_cut(g, PartialAssignment.empty(4))
+
+
+def test_analysis_makes_one_dfs(monkeypatch):
+    # the even-cycle check reads the DFS tree that the decomposition made
+    g = random_cactus(500, True, 2)
+    dfs = count_calls(monkeypatch, "dfs_tree")
+    analyse_cactus(g)
+    assert [args[0] is g for args in dfs] == [True]
+    del dfs[:]
+    assert constrained_cactus_cut(g, PartialAssignment.empty(g.n)) is not None
+    assert [args[0] is g for args in dfs] == [True]
+
+
+@pytest.mark.parametrize("graph, root", [("k3", 1), ("bowtie", 0)])
+def test_even_cycle_check_rejects_another_tree(request, k3, graph, root):
+    # a tree from another root, or of a graph of another order
+    g = request.getfixturevalue(graph)
+    with pytest.raises(GraphError, match=r"^tree must be dfs_tree\(g, 0\) of a graph on"):
+        is_even_cycle_free(g, dfs_tree(k3, root))
 
 
 def test_unconstrained_always_succeeds_and_matches_spanning_cut():

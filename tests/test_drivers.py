@@ -134,6 +134,15 @@ def test_single_test_case_skips_the_even_cycle_check(monkeypatch, n, m, seed):
     assert even_checks == []
 
 
+def test_merge_tail_on_an_odd_cactus_reads_the_decompositions_tree(monkeypatch):
+    g = random_cactus(2000, True, 1)
+    d = tree_bipartite_decompose(g)
+    dfs = count_calls(monkeypatch, "dfs_tree")
+    ts = merge_tail(g, d)
+    assert ts.prefix == () and ts.tail_kind == "odd_cactus"
+    assert dfs == []
+
+
 def test_thm2_on_an_odd_cactus_makes_one_dfs(monkeypatch):
     g = random_cactus(2000, True, 1)
     dfs = count_calls(monkeypatch, "dfs_tree")

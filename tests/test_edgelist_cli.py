@@ -80,6 +80,11 @@ def reference_parse(text):
             n, m = a, b
             if n < 1 or m < 0:
                 raise ParseError(f"line {lineno}: bad header n={n} m={m}")
+            # the grammar caps n where build_graph's int64 arc keys would overflow
+            if n > 3037000499:
+                raise ParseError(
+                    f"line {lineno}: header n={n} is above 3037000499, the most vertices allowed"
+                )
             continue
         if not (0 <= a < n and 0 <= b < n):
             raise ParseError(f"line {lineno}: edge ({a}, {b}) out of range for n={n}")
@@ -484,6 +489,21 @@ def test_cli_error_exit(tmp_path, capsys):
     assert run_cli(["exact", "/nonexistent/file.txt"]) == 2
 
 
+@pytest.mark.parametrize("text, line, n", [
+    ("4000000000 0\n", 1, 4000000000),
+    ("3037000500 1\n0 1\n", 1, 3037000500),
+    ("# huge\n4000000000 1\n0 1\n", 2, 4000000000),
+])
+def test_cli_rejects_a_header_above_the_vertex_cap(tmp_path, capsys, text, line, n):
+    # build_graph raises MemoryError for such an n; the parser names the line
+    bad = tmp_path / "huge.txt"
+    bad.write_text(text)
+    assert run_cli(["approx", str(bad)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: line {line}: header n={n} is above 3037000499, the most vertices allowed\n"
+    )
+
+
 @pytest.mark.parametrize("data, offset", [
     (b"\xff\xfe3\x00 \x001\x00\n\x00", 0),
     (b"3 1\n0 1\n\xc3(", 8),
@@ -636,6 +656,26 @@ def test_bench_cli_rejects_unknown_algorithm(tmp_path, capsys):
     code, err = _run_bench_config(tmp_path, capsys, json.dumps(cfg))
     assert code == 2
     assert err.startswith("error: unknown bench algorithms: ['thm9']")
+
+
+@pytest.mark.parametrize("model, params, message", [
+    ("gnm_connected", {"n": 5}, "gnm_connected needs param 'm'"),
+    ("random_subcubic", {"n": 0}, "vertex count must be positive, got 0"),
+    ("random_subcubic", {"n": "7"}, "random_subcubic param 'n' must be int, got '7'"),
+    ("random_subcubic", {"n": True}, "random_subcubic param 'n' must be int, got True"),
+    ("random_subcubic", {"n": 7, "m": 9}, "unknown random_subcubic params ['m']; known: ['n']"),
+    ("random_max_deg", {"n": -2, "max_deg": 3}, "vertex count must be positive, got -2"),
+    ("random_max_deg", {"n": 2, "max_deg": 0}, "max_deg=0 cannot connect 2 vertices"),
+    ("random_max_deg", {"n": 9, "max_deg": 3.0}, "random_max_deg param 'max_deg' must be int, got 3.0"),
+    ("random_cactus", {"n": 7, "odd_only": 1}, "random_cactus param 'odd_only' must be bool, got 1"),
+    ("random_regular", {"n": 8, "d": 3, "min_girth": None},
+     "random_regular param 'min_girth' must be int, got None"),
+])
+def test_bench_cli_rejects_bad_generator_params(tmp_path, capsys, model, params, message):
+    cfg = {"model": model, "params": params, "count": 1, "seed": 1}
+    code, err = _run_bench_config(tmp_path, capsys, json.dumps(cfg))
+    assert code == 2
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("field, value, what", [

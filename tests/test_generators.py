@@ -69,11 +69,11 @@ def test_cactus_odd_only_has_no_even_cycles():
 
 
 def test_cactus_mixed_blocks_are_edges_or_cycles():
-    from sparsecut.graph import _biconnected_blocks
+    from tests.test_traversal_reference import reference_biconnected_blocks
 
     for seed in range(20):
         g = random_cactus(12, odd_only=False, rng=random.Random(seed))
-        for blk in _biconnected_blocks(g):
+        for blk in reference_biconnected_blocks(g):
             verts = {v for e in blk for v in e}
             assert len(blk) == 1 or len(blk) == len(verts)
 

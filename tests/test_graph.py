@@ -275,14 +275,14 @@ def test_witness_with_vertex_outside_graph_is_invalid(k3, witness):
 
 
 def test_even_cycle_free_rejects_disconnected():
-    # the block search's own DFS names the vertex that dfs_tree names
+    # the check raises dfs_tree's error, naming the same vertex
     for n, edges in ((4, [(0, 1), (2, 3)]), (6, [(0, 4), (4, 5), (5, 0), (1, 2)]), (3, [])):
         g = build_graph(n, edges)
         with pytest.raises(DisconnectedError) as from_dfs:
             dfs_tree(g, 0)
-        with pytest.raises(DisconnectedError) as from_blocks:
+        with pytest.raises(DisconnectedError) as from_check:
             is_even_cycle_free(g)
-        assert str(from_blocks.value) == str(from_dfs.value)
+        assert str(from_check.value) == str(from_dfs.value)
 
 
 @given(st.integers(0, 10_000), st.integers(2, 12), st.integers(0, 8))

@@ -1,4 +1,4 @@
-"""The breadth-first traversals against the loops they replaced.
+"""The graph traversals against the loops they replaced.
 
 Each ``reference_*`` function below is a hand-written BFS as it stood
 before ``graph._bfs`` took its place: ``two_color`` (with its odd-cycle
@@ -13,10 +13,18 @@ The last two library functions are gone: the constrained cactus cut does
 their work as ``_orient_tree`` on ``_tree_parity`` and ``_ring_assign`` on
 ``_piece_ring``, which is what the references are compared with here
 (``tests/test_tail_reference.py`` keeps ``_tree_full_cut`` as it was).
+
+``reference_is_even_cycle_free`` is the even-cycle check as it stood before
+it read the cycles off ``dfs_tree``'s back edges: a low-link block search of
+its own (``_biconnected_blocks``), each cycle block's walk
+(``_cycle_order_block``) and a chord and ear hunt for an even cycle in any
+other block (``_even_cycle_in_block``), kept here unchanged apart from their
+names. The library's odd cycles must equal the reference's; its even
+witness may be another even cycle, and must validate.
 """
 
 import random
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 from hypothesis import given, settings, strategies as st
 
@@ -24,6 +32,9 @@ from sparsecut import (
     Component,
     Cut,
     Decomposition,
+    DisconnectedError,
+    EvenCycleWitness,
+    Graph,
     GraphError,
     KIND_CB_GRAPH,
     KIND_IOC_TREE,
@@ -32,7 +43,9 @@ from sparsecut import (
     SIDE_A,
     build_graph,
     connected_components,
+    dfs_tree,
     gnm_connected,
+    is_even_cycle_free,
     random_cactus,
     tree_bipartite_decompose,
     two_color,
@@ -41,7 +54,7 @@ from sparsecut import (
 from sparsecut.decompose import ValidationReport, _path_in_component
 from tests.test_cactus import ring_assign
 from tests.test_sweep_merge_reference import FAMILIES, _relabel
-from tests.test_tail_reference import _tree_full_cut
+from tests.test_tail_reference import TAIL_FAMILIES, _tree_full_cut
 
 
 # ------------------------------------------------------------------ references
@@ -383,6 +396,217 @@ def reference_tree_full_cut(
     return {v: rel[v] ^ flip for v in vset}
 
 
+def reference_biconnected_blocks(g: Graph) -> list[list[tuple[int, int]]]:
+    """Edge lists of the biconnected blocks of a connected graph.
+
+    Standard low-link pass, iterative, from vertex 0. Raises
+    :class:`DisconnectedError` naming an unreached vertex, as
+    :func:`dfs_tree` does, if the graph is not connected.
+    """
+    n = g.n
+    adj = g.adjacency
+    disc = [-1] * n
+    low = [0] * n
+    parent: list[Optional[int]] = [None] * n
+    cursor = [0] * n
+    edge_stack: list[tuple[int, int]] = []
+    blocks: list[list[tuple[int, int]]] = []
+    disc[0] = low[0] = 0
+    timer = 1
+    stack = [0]
+    while stack:
+        v = stack[-1]
+        nbrs = adj[v]
+        if cursor[v] < len(nbrs):
+            w = nbrs[cursor[v]]
+            cursor[v] += 1
+            if disc[w] == -1:
+                parent[w] = v
+                disc[w] = low[w] = timer
+                timer += 1
+                edge_stack.append((v, w))
+                stack.append(w)
+            elif w != parent[v] and disc[w] < disc[v]:
+                edge_stack.append((v, w))
+                if disc[w] < low[v]:
+                    low[v] = disc[w]
+        else:
+            stack.pop()
+            if stack:
+                u = stack[-1]
+                if low[v] < low[u]:
+                    low[u] = low[v]
+                if low[v] >= disc[u]:
+                    blk = []
+                    while True:
+                        e = edge_stack.pop()
+                        blk.append(e)
+                        if e == (u, v):
+                            break
+                    blocks.append(blk)
+    if timer < n:
+        raise DisconnectedError(f"graph is not connected: vertex {disc.index(-1)} unreachable from 0")
+    if edge_stack:
+        raise AssertionError("block search left edges unassigned")
+    return blocks
+
+
+def reference_cycle_order_block(block_edges: list[tuple[int, int]]) -> list[int]:
+    """Vertex walk of a block that is a single cycle, anchored at its min vertex."""
+    nbrs: dict[int, list[int]] = {}
+    for u, v in block_edges:
+        nbrs.setdefault(u, []).append(v)
+        nbrs.setdefault(v, []).append(u)
+    start = min(nbrs)
+    walk = [start, min(nbrs[start])]
+    while walk[-1] != start:
+        a, b = nbrs[walk[-1]]
+        walk.append(a if a != walk[-2] else b)
+    return walk
+
+
+def reference_even_cycle_in_block(g: Graph, block_edges: list[tuple[int, int]]) -> EvenCycleWitness:
+    """Extract an even simple cycle from a block with more edges than vertices.
+
+    First tries fundamental cycles of a DFS tree of the block; if all are
+    odd, combines an odd cycle with a chord or an ear, one of which must
+    close an even cycle by parity.
+    """
+    verts = sorted({v for e in block_edges for v in e})
+    nbrs: dict[int, list[int]] = {v: [] for v in verts}
+    edge_set = set()
+    for u, v in block_edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+        edge_set.add((u, v) if u < v else (v, u))
+    for v in nbrs:
+        nbrs[v].sort()
+
+    root = verts[0]
+    depth = {root: 0}
+    par: dict[int, Optional[int]] = {root: None}
+    stack = [root]
+    while stack:
+        v = stack.pop()
+        for w in nbrs[v]:
+            if w not in depth:
+                depth[w] = depth[v] + 1
+                par[w] = v
+                stack.append(w)
+    tree_edges = {(par[v], v) if par[v] < v else (v, par[v]) for v in verts if par[v] is not None}
+
+    first_odd: Optional[list[int]] = None
+    for u, v in sorted(edge_set - tree_edges):
+        # fundamental cycle through the spanning tree: u..lca..v plus (v, u)
+        au, av = [u], [v]
+        while depth[au[-1]] > depth[av[-1]]:
+            au.append(par[au[-1]])
+        while depth[av[-1]] > depth[au[-1]]:
+            av.append(par[av[-1]])
+        while au[-1] != av[-1]:
+            au.append(par[au[-1]])
+            av.append(par[av[-1]])
+        cyc = au + list(reversed(av[:-1])) + [u]
+        if (len(cyc) - 1) % 2 == 0:
+            return EvenCycleWitness.from_vertices(cyc)
+        if first_odd is None:
+            first_odd = cyc
+
+    if first_odd is None:
+        raise AssertionError("block with surplus edges has no fundamental cycle")
+    ring = first_odd[:-1]
+    on_ring = set(ring)
+    pos = {v: i for i, v in enumerate(ring)}
+    L = len(ring)
+
+    def arc_even_cycle(p: int, q: int, ear: list[int]) -> EvenCycleWitness:
+        # ear is a simple p..q path meeting the ring only at its endpoints;
+        # the ring splits into two p..q arcs of odd total length, so exactly
+        # one of (arc + ear) closures is even
+        i, j = pos[p], pos[q]
+        if i > j:
+            i, j = j, i
+            ear = list(reversed(ear))
+        arc_a = ring[i : j + 1]           # p .. q along the ring
+        arc_b = ring[j:] + ring[: i + 1]  # q .. p the other way
+        if (len(arc_a) - 1 + len(ear) - 1) % 2 == 0:
+            cyc = arc_a + list(reversed(ear))[1:]
+        else:
+            cyc = arc_b + ear[1:]
+        return EvenCycleWitness.from_vertices(cyc)
+
+    # chord: a non-ring edge joining two ring vertices
+    for u, v in sorted(edge_set):
+        if u in on_ring and v in on_ring:
+            i, j = pos[u], pos[v]
+            if (i - j) % L in (1, L - 1):
+                continue  # ring edge
+            return arc_even_cycle(u, v, [u, v])
+
+    # ear: simple path leaving the ring and coming back at a different vertex
+    origin: dict[int, int] = {}
+    epar: dict[int, int] = {}
+    queue = []
+    for c in ring:
+        for w in nbrs[c]:
+            if w not in on_ring and w not in origin:
+                origin[w] = c
+                epar[w] = c
+                queue.append(w)
+    qi = 0
+    while qi < len(queue):
+        x = queue[qi]
+        qi += 1
+        for w in nbrs[x]:
+            if w in on_ring:
+                if w != origin[x]:
+                    ear = [w, x]
+                    while ear[-1] not in on_ring:
+                        ear.append(epar[ear[-1]])
+                    return arc_even_cycle(w, ear[-1], ear)
+            elif w not in origin:
+                origin[w] = origin[x]
+                epar[w] = x
+                queue.append(w)
+            elif origin[w] != origin[x]:
+                left = [x]
+                while left[-1] not in on_ring:
+                    left.append(epar[left[-1]])
+                right = [w]
+                while right[-1] not in on_ring:
+                    right.append(epar[right[-1]])
+                ear = list(reversed(left)) + right
+                return arc_even_cycle(ear[0], ear[-1], ear)
+    raise AssertionError("2-connected block with surplus edges must contain a chord or an ear")
+
+
+def reference_is_even_cycle_free(
+    g: Graph,
+) -> Union[tuple[OddCycleWitness, ...], EvenCycleWitness]:
+    """Decide whether a connected graph has an even cycle.
+
+    Returns the tuple of its odd cycles (pairwise edge-disjoint, exactly
+    m - n + 1 of them) when there is none, and an :class:`EvenCycleWitness`
+    otherwise. A graph is even-cycle-free iff every biconnected block is a
+    single edge or an odd cycle. Raises :class:`DisconnectedError` if the
+    graph is not connected.
+    """
+    odd: list[OddCycleWitness] = []
+    for blk in reference_biconnected_blocks(g):
+        if len(blk) == 1:
+            continue
+        verts = {v for e in blk for v in e}
+        if len(blk) == len(verts):
+            walk = reference_cycle_order_block(blk)
+            if (len(walk) - 1) % 2 == 1:
+                odd.append(OddCycleWitness.from_vertices(walk))
+            else:
+                return EvenCycleWitness.from_vertices(walk)
+        else:
+            return reference_even_cycle_in_block(g, blk)
+    return tuple(odd)
+
+
 # ------------------------------------------------------------------ strategies
 
 def _outcome(fn, *args):
@@ -424,6 +648,40 @@ def any_graphs(draw):
         return draw(connected_graphs())
     parts = draw(st.lists(connected_graphs(max_n=20), min_size=1, max_size=4))
     return _union(parts, random.Random(draw(st.integers(0, 2**32 - 1))))
+
+
+def _theta(n, rng):
+    """Two vertices joined by three or four internally disjoint paths, and a
+    tree hung on them up to n vertices."""
+    lengths = [rng.randint(2, 5) for _ in range(rng.randint(3, 4))]
+    lengths[0] = rng.choice((1, lengths[0]))
+    edges = []
+    k = 2
+    for length in lengths:
+        path = [0, *range(k, k + length - 1), 1]
+        k += length - 1
+        edges += zip(path, path[1:])
+    edges += [(rng.randrange(v), v) for v in range(k, n)]
+    return build_graph(max(n, k), edges)
+
+
+EVEN_CHECK_FAMILIES = {**TAIL_FAMILIES, "theta": _theta}
+
+
+@st.composite
+def even_check_graphs(draw):
+    """A graph of the tail families or a theta, relabelled or not, or a
+    disjoint union of several, which the check rejects."""
+    if draw(st.integers(0, 4)) == 0:
+        parts = draw(st.lists(connected_graphs(max_n=20), min_size=1, max_size=3))
+        return _union(parts, random.Random(draw(st.integers(0, 2**32 - 1))))
+    family = draw(st.sampled_from(sorted(EVEN_CHECK_FAMILIES)))
+    n = draw(st.integers(1, 70))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    g = EVEN_CHECK_FAMILIES[family](n, rng)
+    if draw(st.booleans()):
+        g = _relabel(g, rng)
+    return g
 
 
 # ----------------------------------------------------------------------- tests
@@ -570,3 +828,29 @@ def test_validation_report_colours_every_part_of_a_piece():
     report = validate_decomposition(g, d)
     assert "component 0: CB piece is not bipartite" in report.violations
     assert report == reference_validate_decomposition(g, d)
+
+
+def assert_even_check_matches_reference(g):
+    found = _outcome(is_even_cycle_free, g)
+    if isinstance(found, EvenCycleWitness):
+        assert isinstance(reference_is_even_cycle_free(g), EvenCycleWitness)
+        found.validate(g)
+    else:
+        assert found == _outcome(reference_is_even_cycle_free, g)
+    if len(connected_components(g)) == 1:
+        assert is_even_cycle_free(g, dfs_tree(g, 0)) == found
+
+
+@given(even_check_graphs())
+@settings(max_examples=400)
+def test_even_cycle_check_matches_reference(g):
+    assert_even_check_matches_reference(g)
+
+
+def test_even_cycle_check_matches_reference_at_scale():
+    for seed in range(3):
+        g = random_cactus(20_000, True, seed)
+        cycles = is_even_cycle_free(g)
+        assert len(cycles) > 1000
+        assert cycles == reference_is_even_cycle_free(g)
+        assert is_even_cycle_free(g, dfs_tree(g, 0)) == cycles

@@ -16,7 +16,8 @@ import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from itertools import chain
+from typing import Iterator, Optional, Sequence
 
 from .decompose import tree_bipartite_decompose, validate_decomposition
 from .drivers import auto_approx, thm2_approx, thm3_approx
@@ -41,6 +42,7 @@ def _read_graph(path: str) -> Graph:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"byte {exc.start}: not valid UTF-8 ({exc.reason})") from None
+    del data  # the parse's peak need not hold the file twice
     return parse_edge_list(text)
 
 
@@ -256,8 +258,26 @@ BENCH_COLUMNS = [
 
 
 def run_bench(cfg: BenchConfig, stream) -> None:
+    """Write the CSV of a bench run: the header, then one row per instance and algorithm."""
+    _write_csv(_bench_rows(cfg), stream)
+
+
+def _write_csv(rows: Iterator[list], stream) -> None:
     writer = csv.writer(stream)
     writer.writerow(BENCH_COLUMNS)
+    writer.writerows(rows)
+
+
+def _bench_rows(cfg: BenchConfig) -> Iterator[list]:
+    """The rows of a bench run. The first instance is generated and solved
+    here, before anything is written, so a config that the generator
+    rejects raises before a header row or an output file exists."""
+    rows = _instance_rows(cfg)
+    first = next(rows, None)
+    return rows if first is None else chain([first], rows)
+
+
+def _instance_rows(cfg: BenchConfig) -> Iterator[list]:
     for idx in range(cfg.count):
         sub_seed = instance_seed(cfg.seed, idx)
         g = generate(cfg.model, cfg.params, sub_seed)
@@ -278,20 +298,18 @@ def run_bench(cfg: BenchConfig, stream) -> None:
                         f"instance {idx} ({algo}): achieved {af} below certified "
                         f"{res.guaranteed_ratio}"
                     )
-            writer.writerow(
-                [
-                    idx,
-                    sub_seed,
-                    g.n,
-                    g.m,
-                    algo,
-                    res.cut.size,
-                    "" if mc is None else mc,
-                    achieved,
-                    _frac(res.guaranteed_ratio),
-                    elapsed,
-                ]
-            )
+            yield [
+                idx,
+                sub_seed,
+                g.n,
+                g.m,
+                algo,
+                res.cut.size,
+                "" if mc is None else mc,
+                achieved,
+                _frac(res.guaranteed_ratio),
+                elapsed,
+            ]
 
 
 def _cmd_bench(args) -> int:
@@ -299,11 +317,12 @@ def _cmd_bench(args) -> int:
         cfg = BenchConfig.from_json(fh.read())
     if args.output:
         cfg.output = args.output
+    rows = _bench_rows(cfg)
     if cfg.output:
         with open(cfg.output, "w", encoding="utf-8", newline="") as fh:
-            run_bench(cfg, fh)
+            _write_csv(rows, fh)
     else:
-        run_bench(cfg, sys.stdout)
+        _write_csv(rows, sys.stdout)
     return 0
 
 

@@ -112,8 +112,10 @@ def tree_bipartite_decompose(g: Graph) -> Decomposition:
     # piece[v] is the index of v's component once v is removed, -1 before.
     # nxt chains the preorder ranks; once a subtree is removed, the rank of
     # its top points one past its last rank, so later walks skip it whole.
+    # Rank k + 1 is read as pre[order[k + 1]], the tree's own int object.
     piece = [-1] * n
-    nxt = list(range(1, n + 1))
+    nxt = [pre[v] for v in order[1:]]
+    nxt.append(n)
     specs: list[_PieceSpec] = []
 
     def remove_subtree(top: int, spec: _PieceSpec) -> None:

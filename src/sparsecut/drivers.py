@@ -151,7 +151,7 @@ def _seeded_result(
     m_prime = 0
     seed_cut = 0
     cb_edges = 0
-    for u, v in g.edges:
+    for u, v in zip(g.lo, g.hi):
         su = seed.get(u)
         if su is None:
             continue
@@ -430,7 +430,7 @@ def _case_ioc_neighbor_single_test(
     excluded = {tuple(sorted(e1)), tuple(sorted(e2))}
     other_cross = [e for e in nb.cross if tuple(sorted(e)) not in excluded]
 
-    tail_edges = [(u, v) for u, v in g.edges if u in nb.tail_set and v in nb.tail_set]
+    tail_edges = [(u, v) for u, v in zip(g.lo, g.hi) if u in nb.tail_set and v in nb.tail_set]
     gp_vertices = sorted(nb.tail_set | {u for u, _ in other_cross})
     colors = _bipartition_assignment(*subgraph_from_edges(gp_vertices, tail_edges + other_cross))
     if colors is None:

@@ -111,6 +111,6 @@ def _scan(text: str) -> Graph:
 
 def write_edge_list(g: Graph) -> str:
     lines = [f"{g.n} {g.m}"]
-    for u, v in sorted(g.edges):
+    for u, v in sorted(zip(g.lo, g.hi)):
         lines.append(f"{u} {v}")
     return "\n".join(lines) + "\n"

@@ -11,11 +11,17 @@ cycles from the back edges that :func:`dfs_tree` files, so the only
 searches are :func:`dfs_tree`, :func:`_bfs` and the flag-only search of
 :func:`connected_components`.
 
-A graph from :func:`build_graph` holds one int object per vertex id,
-shared by ``edges`` and ``adjacency``: a Python int takes 28 bytes and a
-reference 8, so 4m copies of the endpoints would outweigh the tuples that
-hold them. Above n = 256 the ids are mapped through one object array;
-up to it numpy's ``tolist`` already returns CPython's cached small ints.
+A graph holds its edges as two columns, ``lo`` and ``hi``, one tuple of
+lower and one of higher endpoints in input order; ``edges`` zips them
+into pairs on request. A pair tuple takes 56 bytes and a reference 8, so
+the columns hold m edges in 16m bytes instead of 64m. A graph from
+:func:`build_graph` also holds one int object per vertex id, shared by
+the columns and ``adjacency``: a Python int takes 28 bytes, so 4m copies
+of the endpoints would outweigh the tuples that hold them. Above n = 256
+the ids are mapped through one object array; up to it numpy's ``tolist``
+already returns CPython's cached small ints. :func:`dfs_tree` and the
+decomposition sweep store their ranks and depths, which lie in 0..n-1,
+as those same objects, so a search makes no int object per vertex.
 """
 
 from __future__ import annotations
@@ -23,6 +29,8 @@ from __future__ import annotations
 import gc
 import math
 import operator
+import os
+import resource
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import accumulate, chain
@@ -37,6 +45,12 @@ _MAX_KEYED_N = math.isqrt(np.iinfo(np.int64).max)
 # CPython keeps one shared object for each int up to 256, so up to this n
 # numpy's ``tolist`` already hands out one object per vertex id.
 _SHARED_INT_N = 256
+# Bytes that solving a graph takes at least, per vertex and per edge. The
+# edge columns and the adjacency alone take 32 per edge; less that, the
+# traced peak of a whole ``sparsecut approx`` was 197-372 bytes per vertex
+# on gnm, subcubic, near-tree and odd-cactus graphs of 10k-40k vertices.
+_BYTES_PER_VERTEX = 190
+_BYTES_PER_EDGE = 32
 
 
 class GraphError(ValueError):
@@ -51,17 +65,25 @@ class DisconnectedError(GraphError):
 class Graph:
     """Simple undirected graph on vertices 0..n-1.
 
-    ``edges`` stores each edge once as (u, v) with u < v; ``adjacency[v]``
-    lists the neighbors of v sorted ascending.
+    Edge k joins ``lo[k]`` < ``hi[k]``, and each edge is stored once;
+    ``adjacency[v]`` lists the neighbors of v sorted ascending. Two graphs
+    are equal when they have the same n, the same edges in the same order
+    and the same adjacency.
     """
 
     n: int
-    edges: tuple[tuple[int, int], ...]
+    lo: tuple[int, ...]
+    hi: tuple[int, ...]
     adjacency: tuple[tuple[int, ...], ...]
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self.lo)
+
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """Each edge as a pair (u, v) with u < v, in order; built on every call."""
+        return tuple(zip(self.lo, self.hi))
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
@@ -100,7 +122,8 @@ def build_graph(n: int, edge_list: Sequence[tuple[int, int]]) -> Graph:
     Edges keep their input order, each as (u, v) with u < v. Self-loops,
     duplicate edges and out-of-range endpoints raise GraphError naming the
     first offending pair, before anything n long is allocated; an n too
-    large for the int64 arc keys raises MemoryError.
+    large for the int64 arc keys raises MemoryError, and a graph whose
+    solution could not fit in :func:`_memory_cap` raises GraphError.
     """
     if n < 1:
         raise GraphError(f"vertex count must be positive, got {n}")
@@ -116,6 +139,13 @@ def build_graph(n: int, edge_list: Sequence[tuple[int, int]]) -> Graph:
             raise TypeError
     except (TypeError, ValueError):
         _raise_edge_error(n, edge_list)
+    need = _BYTES_PER_VERTEX * n + _BYTES_PER_EDGE * len(pairs)
+    cap = _memory_cap()
+    if need > cap:
+        raise GraphError(
+            f"a graph with n={n} and m={len(pairs)} needs at least {need >> 20} MiB,"
+            f" more than the {cap >> 20} MiB this process may use"
+        )
     pairs = pairs.astype(np.int64, copy=False)
     pairs.sort(axis=1)
     shared = n <= _SHARED_INT_N
@@ -139,11 +169,20 @@ def build_graph(n: int, edge_list: Sequence[tuple[int, int]]) -> Graph:
         ids = np.array(range(n), dtype=object)
         lo, hi = ids[pairs.T].tolist()
     del pairs
+    lo, hi = tuple(lo), tuple(hi)
     nbrs = tuple((arcs if shared else ids[arcs]).tolist())
     del arcs
     with gc_paused():
         adjacency = tuple(map(nbrs.__getitem__, map(slice, [0] + ends, ends)))
-        return Graph(n, tuple(zip(lo, hi)), adjacency)
+        return Graph(n, lo, hi, adjacency)
+
+
+def _memory_cap() -> int:
+    """The bytes this process may use: the lower of its address-space soft
+    limit, when one is set, and physical memory. Reads both, sets neither."""
+    cap = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    soft = resource.getrlimit(resource.RLIMIT_AS)[0]
+    return cap if soft == resource.RLIM_INFINITY else min(cap, soft)
 
 
 def _raise_edge_error(n: int, edge_list) -> NoReturn:
@@ -180,7 +219,7 @@ class Cut:
         for v, s in enumerate(side):
             if s not in (SIDE_A, SIDE_B):
                 raise GraphError(f"vertex {v} has invalid side {s!r}")
-        size = sum(1 for u, v in g.edges if side[u] != side[v])
+        size = sum(1 for u, v in zip(g.lo, g.hi) if side[u] != side[v])
         return cls(g.n, side, size)
 
     def side_a(self) -> list[int]:
@@ -205,7 +244,7 @@ def cut_size(g: Graph, cut: Cut) -> int:
     if len(cut.side) != g.n:
         raise GraphError(f"cut assigns {len(cut.side)} of {g.n} vertices")
     side = cut.side
-    return sum(1 for u, v in g.edges if side[u] != side[v])
+    return sum(1 for u, v in zip(g.lo, g.hi) if side[u] != side[v])
 
 
 @dataclass(frozen=True)
@@ -218,6 +257,10 @@ class DfsTree:
     contiguous and the children come in preorder; within one child the
     pairs are in the order the DFS met their edges. ``below`` takes no part
     in comparison or hashing.
+
+    Ranks and depths are the graph's own vertex int objects: rank or depth
+    k is the object ``order`` holds for vertex k, so the tree adds no int
+    object per vertex.
     """
 
     root: int
@@ -240,13 +283,10 @@ def dfs_tree(g: Graph, root: int = 0) -> DfsTree:
     n = g.n
     adj = g.adjacency
     parent: list[Optional[int]] = [None] * n
-    pre = [-1] * n
     depth = [-1] * n
     below: list[Optional[list[int]]] = [None] * n
-    pre[root] = 0
     depth[root] = 0
     order = [root]
-    counter = 1
     # v is the vertex under scan, at depth dv; path[d] is the vertex at depth
     # d on the tree path to v, and its[d] the paused iterator of path[d]
     path = [root]
@@ -259,8 +299,6 @@ def dfs_tree(g: Graph, root: int = 0) -> DfsTree:
             dw = depth[w]
             if dw < 0:
                 parent[w] = v
-                pre[w] = counter
-                counter += 1
                 order.append(w)
                 path.append(w)
                 its.append(it)
@@ -282,10 +320,24 @@ def dfs_tree(g: Graph, root: int = 0) -> DfsTree:
             v = path[-1]
             dv -= 1
             it = its.pop()
-    if counter < n:
-        missing = pre.index(-1)
+    if len(order) < n:
+        missing = depth.index(-1)
         raise DisconnectedError(f"graph is not connected: vertex {missing} unreachable from {root}")
-    return DfsTree(root, tuple(parent), tuple(pre), tuple(depth), tuple(order), tuple(below))
+    # ids[k] is the graph's int object for k; each list becomes a tuple, and
+    # is dropped, before the next one is made
+    ids: list[int] = [0] * n
+    for v in order:
+        ids[v] = v
+    parent = tuple(parent)
+    depth = tuple([ids[d] for d in depth])
+    pre = [0] * n
+    for v, k in zip(order, ids):
+        pre[v] = k
+    del ids
+    pre = tuple(pre)
+    order = tuple(order)
+    below = tuple(below)
+    return DfsTree(root, parent, pre, depth, order, below)
 
 
 @dataclass(frozen=True)
@@ -459,17 +511,38 @@ def subgraph_from_edges(
         raise GraphError("vertex count must be positive, got 0")
     index = {v: i for i, v in enumerate(ids)}
     nbrs: list[list[int]] = [[] for _ in ids]
-    sub_edges = []
+    lo = []
+    hi = []
     for u, v in edges:
         i, j = index[u], index[v]
         if i > j:
             i, j = j, i
-        sub_edges.append((i, j))
+        lo.append(i)
+        hi.append(j)
         nbrs[i].append(j)
         nbrs[j].append(i)
     for a in nbrs:
         a.sort()
-    return Graph(len(ids), tuple(sub_edges), tuple(map(tuple, nbrs))), ids
+    return Graph(len(ids), tuple(lo), tuple(hi), tuple(map(tuple, nbrs))), ids
+
+
+def _columns(
+    labels: Iterable[int], sub_adj: Sequence[Sequence[int]]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The edge columns of a relabelled graph: each edge i-j with i < j,
+    in order of i and then j.
+
+    ``labels`` yields each vertex's id, the int object ``sub_adj`` holds
+    for it, so the columns share the adjacency's ints.
+    """
+    lo = []
+    hi = []
+    for i, nbrs in zip(labels, sub_adj):
+        for j in nbrs:
+            if j > i:
+                lo.append(i)
+                hi.append(j)
+    return tuple(lo), tuple(hi)
 
 
 def induced_subgraph(g: Graph, vertices: Sequence[int]) -> tuple[Graph, tuple[int, ...]]:
@@ -486,8 +559,7 @@ def induced_subgraph(g: Graph, vertices: Sequence[int]) -> tuple[Graph, tuple[in
     adj = g.adjacency
     with gc_paused():
         sub_adj = tuple([tuple([index[w] for w in adj[v] if w in index]) for v in ids])
-        edges = tuple([(i, j) for i, nbrs in enumerate(sub_adj) for j in nbrs if j > i])
-        return Graph(len(ids), edges, sub_adj), ids
+        return Graph(len(ids), *_columns(index.values(), sub_adj), sub_adj), ids
 
 
 def component_subgraphs(
@@ -510,10 +582,8 @@ def component_subgraphs(
     with gc_paused():
         for comp in comps:
             sub_adj = tuple([tuple(map(relabel, adj[v])) for v in comp])
-            edges = tuple([
-                (i, j) for i, nbrs in zip(map(relabel, comp), sub_adj) for j in nbrs if j > i
-            ])
-            parts.append((Graph(len(comp), edges, sub_adj), tuple(comp)))
+            lo, hi = _columns(map(relabel, comp), sub_adj)
+            parts.append((Graph(len(comp), lo, hi, sub_adj), tuple(comp)))
     return parts
 
 

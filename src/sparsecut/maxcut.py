@@ -85,7 +85,7 @@ def component_edge_counts(g: Graph, d: Decomposition) -> list[int]:
     """Number of induced edges of each component."""
     idx = d.component_index(g.n)
     counts = [0] * d.t
-    for u, v in g.edges:
+    for u, v in zip(g.lo, g.hi):
         if idx[u] == idx[v]:
             counts[idx[u]] += 1
     return counts
@@ -178,7 +178,7 @@ def greedy_merge(
         for v, s in seed.items():
             side[v] = s
             idx[v] = t
-        for u, v in g.edges:
+        for u, v in zip(g.lo, g.hi):
             su, sv = side[u], side[v]
             if su is not None and sv is not None and su != sv:
                 size += 1

@@ -92,7 +92,7 @@ def _pattern_sizes(
     fixed_b = [0] * low
     fixed_cut = 0  # edges between fixed vertices on different sides
     rest = []  # edges with a high endpoint and no low one
-    for u, v in g.edges:
+    for u, v in zip(g.lo, g.hi):
         if u in bit and v in bit:
             i, j = sorted((bit[u], bit[v]))
             if i < low:

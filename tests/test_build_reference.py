@@ -2,7 +2,8 @@
 trusted ``subgraph_from_edges`` against the validated build it replaced.
 
 ``reference_build`` is the loop as it stood before ``build_graph`` moved to
-one sort of int64 arc keys, kept here unchanged apart from its name. For
+one sort of int64 arc keys, kept here unchanged apart from its name and
+the two edge columns it now hands to :class:`Graph`. For
 each input both must return equal graphs, or both must raise
 :class:`GraphError` with the same message; where the loop raises
 ``TypeError`` or ``ValueError``, the array builder must raise too.
@@ -51,7 +52,9 @@ def reference_build(n: int, edge_list: Sequence[tuple[int, int]]) -> Graph:
             adj[b].append(a)
         for lst in adj:
             lst.sort()
-        return Graph(n, tuple(edges), tuple(tuple(lst) for lst in adj))
+        lo = tuple(a for a, _ in edges)
+        hi = tuple(b for _, b in edges)
+        return Graph(n, lo, hi, tuple(tuple(lst) for lst in adj))
 
 
 def reference_subgraph_from_edges(

@@ -2,15 +2,22 @@ import csv
 import gc
 import io
 import json
+import os
 import random
+import re
+import resource
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import sparsecut
 from sparsecut import (
     ParseError,
+    auto_approx,
     build_graph,
     connected_components,
     gnm_connected,
@@ -23,6 +30,7 @@ from sparsecut.cli import _ALGOS, BenchConfig, _split, _write_json, run_bench, r
 from sparsecut.edgelist import _read_plain
 from tests.conftest import random_connected_graph
 
+PACKAGE_PARENT = Path(sparsecut.__file__).resolve().parent.parent
 
 # -------------------------------------------------------------------- edge list
 
@@ -304,8 +312,9 @@ def test_rejected_file_allocates_nothing_to_scale(text):
 
 
 def test_parsed_graph_resident_size():
-    # one int object per vertex id: about 3.8 MB here, against 8.2 MB with
-    # an int per endpoint and per arc
+    # two edge columns of one int object per vertex id: 1.88 MB on CPython 3.11,
+    # against 3.80 MB with a pair tuple per edge and 8.2 MB with an int per
+    # endpoint and per arc
     text = write_edge_list(gnm_connected(20_000, 40_000, 1))
     tracemalloc.start()
     try:
@@ -314,7 +323,22 @@ def test_parsed_graph_resident_size():
     finally:
         tracemalloc.stop()
     assert g.m == 40_000
-    assert resident < 6 << 20
+    assert resident < 2_450_000
+
+
+def test_parse_and_approx_peak():
+    # the traced peak of parsing the file and solving it: 4.86 MB on CPython 3.11,
+    # against 8.66 MB with a pair tuple per edge and an int object per rank
+    # and depth in the DFS tree
+    text = write_edge_list(gnm_connected(20_000, 40_000, 1))
+    tracemalloc.start()
+    try:
+        result = auto_approx(parse_edge_list(text))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.n == 20_000
+    assert peak < 6_300_000
 
 
 def test_round_trip_canonical(k4):
@@ -504,6 +528,45 @@ def test_cli_rejects_a_header_above_the_vertex_cap(tmp_path, capsys, text, line,
     )
 
 
+# Runs ``approx`` on argv[1] under tracemalloc, prints the traced peak and
+# exits with the CLI's code.
+_TRACED_APPROX = """
+import sys, tracemalloc
+from sparsecut.cli import run_cli
+tracemalloc.start()
+code = run_cli(["approx", sys.argv[1]])
+print(tracemalloc.get_traced_memory()[1])
+sys.exit(code)
+"""
+
+
+def _limit_address_space():
+    # runs in the child only, before it starts Python: 3 GiB of address space
+    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+    soft = 3 << 30 if hard == resource.RLIM_INFINITY else min(3 << 30, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
+@pytest.mark.parametrize("n, m", [(2_000_000_000, 0), (20_000_000, 2)])
+def test_cli_rejects_a_graph_beyond_the_memory_limit(tmp_path, n, m):
+    # both exceed the child's 3 GiB limit: the first needs about 354 GiB,
+    # the second about 3.5 GiB, which physical memory alone need not refuse
+    path = tmp_path / "big.txt"
+    path.write_text(f"{n} {m}\n" + "".join(f"{i} {i + 1}\n" for i in range(m)))
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE_PARENT), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", _TRACED_APPROX, str(path)], env=env,
+        preexec_fn=_limit_address_space, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert re.fullmatch(
+        rf"error: a graph with n={n} and m={m} needs at least \d+ MiB,"
+        r" more than the \d+ MiB this process may use\n", proc.stderr
+    )
+    # nothing sized by n was allocated before the rejection
+    assert int(proc.stdout) < 1 << 20
+
+
 @pytest.mark.parametrize("data, offset", [
     (b"\xff\xfe3\x00 \x001\x00\n\x00", 0),
     (b"3 1\n0 1\n\xc3(", 8),
@@ -676,6 +739,30 @@ def test_bench_cli_rejects_bad_generator_params(tmp_path, capsys, model, params,
     code, err = _run_bench_config(tmp_path, capsys, json.dumps(cfg))
     assert code == 2
     assert err == f"error: {message}\n"
+
+
+def test_rejected_bench_config_writes_no_csv(tmp_path, capsys):
+    cfg = {"model": "gnm_connected", "params": {"n": 5}, "count": 1, "seed": 1}
+    code = run_cli(["bench", "--config", str(write_config(tmp_path, cfg))])
+    assert (code, *capsys.readouterr()) == (2, "", "error: gnm_connected needs param 'm'\n")
+
+
+def test_rejected_bench_config_leaves_the_output_file_alone(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, {"model": "gnm_connected", "params": {"n": 5},
+                                       "count": 1, "seed": 1})
+    out_path = tmp_path / "rows.csv"
+    assert run_cli(["bench", "--config", str(cfg_path), "--output", str(out_path)]) == 2
+    assert not out_path.exists()
+    out_path.write_text("kept\n")
+    assert run_cli(["bench", "--config", str(cfg_path), "--output", str(out_path)]) == 2
+    assert out_path.read_text() == "kept\n"
+    assert capsys.readouterr().err == "error: gnm_connected needs param 'm'\n" * 2
+
+
+def write_config(tmp_path, cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    return path
 
 
 @pytest.mark.parametrize("field, value, what", [

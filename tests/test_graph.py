@@ -20,11 +20,12 @@ from sparsecut import (
     two_color,
     write_edge_list,
 )
-from sparsecut.graph import _MAX_KEYED_N, subgraph_from_edges
+from sparsecut.graph import _MAX_KEYED_N, component_subgraphs, subgraph_from_edges
 from tests.test_build_reference import reference_subgraph_from_edges
 from tests.conftest import random_connected_graph
 
 import dataclasses
+import hashlib
 import random
 import tracemalloc
 
@@ -92,6 +93,61 @@ def test_build_holds_one_int_object_per_vertex(n):
 def test_parse_holds_one_int_object_per_vertex():
     g = parse_edge_list(write_edge_list(gnm_connected(6000, 12000, 2)))
     assert len(int_objects(g)) <= g.n
+
+
+def constructed_graphs(n):
+    """Graphs from every constructor: ``build_graph`` on list and array
+    input, ``induced_subgraph``, ``subgraph_from_edges`` and
+    ``component_subgraphs``, on a seeded graph with shuffled, flipped pairs."""
+    rng = random.Random(n)
+    g = gnm_connected(n, 2 * n, n)
+    pairs = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in g.edges]
+    rng.shuffle(pairs)
+    yield build_graph(n, pairs)
+    yield build_graph(n, np.array(pairs))
+    inside = rng.sample(range(n), n // 2)
+    yield induced_subgraph(g, inside)[0]
+    among = [e for e in pairs if e[0] in set(inside) and e[1] in set(inside)]
+    yield subgraph_from_edges(inside, among)[0]
+    h = build_graph(n, [e for e in pairs if (e[0] < n // 3) == (e[1] < n // 3)])
+    yield from (sub for sub, _ in component_subgraphs(h, connected_components(h)))
+
+
+# n -> sha256 of the pairs of constructed_graphs(n) as a graph stored them
+# before its edges became two columns
+EDGE_DIGESTS = {
+    40: "be363b21c700d581f556020e5677828422bc8a867f5db3184ff0d76d987c853a",
+    600: "eb65075d78c2245bac152024ac519d065dbcdcda78ccd567a55148ffb0ae2d3c",
+}
+
+
+@pytest.mark.parametrize("n", sorted(EDGE_DIGESTS))
+def test_edges_view_keeps_the_pairs_and_their_order(n):
+    graphs = list(constructed_graphs(n))
+    assert hashlib.sha256(repr([g.edges for g in graphs]).encode()).hexdigest() == EDGE_DIGESTS[n]
+    for g in graphs:
+        assert type(g.lo) is tuple and type(g.hi) is tuple
+        assert g.edges == tuple(zip(g.lo, g.hi)) and g.m == len(g.hi)
+        assert all(u < v for u, v in g.edges)
+
+
+def test_equal_edge_orders_give_equal_graphs():
+    pairs = [(0, 3), (2, 1), (1, 0), (3, 2)]
+    g = build_graph(4, pairs)
+    assert g.edges == ((0, 3), (1, 2), (0, 1), (2, 3))
+    assert g == build_graph(4, np.array(pairs)) and hash(g) == hash(build_graph(4, pairs))
+    assert g != build_graph(4, pairs[::-1])
+    assert g != build_graph(4, pairs[:3])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        g.edges = ()
+
+
+def test_dfs_tree_makes_no_int_object_per_vertex():
+    # every rank and depth is one of the graph's own vertex ints
+    g = gnm_connected(6000, 12000, 3)
+    t = dfs_tree(g)
+    held = int_objects(g)
+    assert {id(x) for x in (*t.preorder, *t.depth, *t.order)} <= held
 
 
 def test_build_refuses_n_beyond_int64_keys_without_allocating():
